@@ -19,7 +19,7 @@ from .datasets import (
     write_libsvm,
 )
 from .ista import IstaConfig, ista_solve, shrink
-from .linalg import SparseMatrix, gather, scatter, spmv, spmv_transpose
+from .linalg import SparseMatrix, spmv, spmv_transpose
 from .linesearch import (
     BetaSearchResult,
     LineSearchError,
@@ -30,16 +30,7 @@ from .linesearch import (
     project_orthant,
 )
 from .objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective
-from .optimality import (
-    IndexPartition,
-    OptimalityPair,
-    compute_beta,
-    compute_phi,
-    is_optimal,
-    ista_step,
-    optimality_measures,
-    partition_indices,
-)
+from .optimality import OptimalityPair, is_optimal, ista_step, optimality_measures
 from .solver import (
     IterationRecord,
     IterationType,
@@ -49,16 +40,7 @@ from .solver import (
     SolverState,
     solve,
 )
-from .subproblem import (
-    CgLimits,
-    CgOutcome,
-    CgStopReason,
-    ModelEval,
-    accept_direction,
-    cg_solve,
-    model_decrease,
-    reference_direction,
-)
+from .subproblem import CgLimits, CgOutcome, CgStopReason, cg_solve
 
 __version__ = "0.1.0"
 
@@ -69,13 +51,11 @@ __all__ = [
     "CgStopReason",
     "Dataset",
     "DatasetFormatError",
-    "IndexPartition",
     "IstaConfig",
     "IterationRecord",
     "IterationType",
     "LineSearchError",
     "LogisticObjective",
-    "ModelEval",
     "ObjectiveOracle",
     "OptimalityPair",
     "PhiOutcome",
@@ -86,28 +66,20 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "SparseMatrix",
-    "accept_direction",
     "cg_solve",
-    "compute_beta",
-    "compute_phi",
-    "gather",
     "is_optimal",
     "ista_solve",
     "ista_step",
     "linesearch_beta",
     "linesearch_phi",
     "load_dataset",
-    "model_decrease",
     "optimality_measures",
     "parse_libsvm",
-    "partition_indices",
     "project_orthant",
-    "reference_direction",
     "relabel_binary_mnist",
     "scale_max_abs",
     "scale_minus1_1",
     "scale_pixels",
-    "scatter",
     "shrink",
     "solve",
     "spmv",

@@ -13,9 +13,10 @@ from time import perf_counter
 
 import numpy as np
 
+from .linalg import as_vector
 from .objectives import ObjectiveOracle
 from .optimality import is_optimal, optimality_measures
-from .solver import SolveReport, SolveStatus
+from .solver import SolveReport, SolveStatus, _initial_point
 
 __all__ = ["IstaConfig", "ista_solve", "shrink"]
 
@@ -58,17 +59,13 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
 
     Backtracking halves t until the quadratic upper bound
     f(x+) <= f(x) + grad^T (x+ - x) + ||x+ - x||^2 / (2t) holds, then grows
-    t by 10% for the next iteration; a fixed step skips the test.
+    t by 10% for the next iteration; a fixed step skips the test.  x0 and
+    every gradient are checked as in ``solve``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     n = oracle.dim
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != (n,):
-            raise ValueError(f"x0 must have length {n}, got shape {x.shape}")
+    x = _initial_point(x0, n)
 
     backtracking = config.step_size == "backtracking"
     t = 1.0 if backtracking else float(config.step_size)
@@ -76,7 +73,7 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
     status = SolveStatus.MAX_ITERATIONS
     iterations = 0
     for k in range(config.max_iter + 1):
-        grad = oracle.gradient(x)
+        grad = as_vector(oracle.gradient(x), n)
         pair = optimality_measures(x, grad, lam)
         if is_optimal(pair, config.epsilon):
             status = SolveStatus.OPTIMAL

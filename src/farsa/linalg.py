@@ -16,8 +16,6 @@ __all__ = [
     "as_index_set",
     "spmv",
     "spmv_transpose",
-    "gather",
-    "scatter",
 ]
 
 
@@ -150,23 +148,3 @@ def spmv_transpose(matrix: SparseMatrix, x) -> np.ndarray:
             f"matrix has {matrix.n_rows} rows but vector has length {v.shape[0]}"
         )
     return matrix._csr.T @ v
-
-
-def gather(v, indices) -> np.ndarray:
-    """Return the subvector of ``v`` at ``indices``."""
-    vec = np.asarray(v, dtype=np.float64)
-    idx = as_index_set(indices, vec.shape[0])
-    return vec[idx]
-
-
-def scatter(v_reduced, indices, n: int) -> np.ndarray:
-    """Embed a reduced vector into R^n, exact zeros off the index set."""
-    vec = np.asarray(v_reduced, dtype=np.float64)
-    idx = as_index_set(indices, n)
-    if vec.shape[0] != idx.shape[0]:
-        raise ValueError(
-            f"reduced vector has length {vec.shape[0]} but index set has {idx.shape[0]}"
-        )
-    out = np.zeros(n, dtype=np.float64)
-    out[idx] = vec
-    return out

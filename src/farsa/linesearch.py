@@ -10,10 +10,13 @@ against -eta * step * ||d||^2.
 Both searches write exact zeros for any component they send to zero, so the
 sign-based bookkeeping elsewhere stays exact.
 
-Neither search returns a null step: a trial point equal to the current
-iterate is never accepted.  In the phi-search's Armijo loop such a trial
-raises LineSearchError; every other trial point differs from x in a sign or a
-zero, so it cannot equal x.
+Every trial point of both searches goes through one acceptance test,
+``_accepts``: F(y) <= F(x) + change + noise, with ``change`` the Armijo term
+(zero for the phi-search's plain-decrease test) and ``noise`` the
+evaluation-noise allowance below.  Neither search returns a null step: a
+trial point equal to the current iterate raises LineSearchError.  Only
+Armijo trials can reach one; every other trial point differs from x in a
+sign or a zero.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-
-from .linalg import as_index_set, as_vector
 
 __all__ = [
     "LineSearchError",
@@ -44,14 +45,14 @@ __all__ = [
 # would help.
 MAX_BACKTRACKS = 100
 
-# Evaluation-noise allowance on the phi-search's acceptance tests, scaled by
-# |F(x)|; linesearch_beta does not apply it.  Near a minimizer the true
-# per-step decrease falls below the roundoff in evaluating F; without the
-# allowance a search rejects real progress on noise and stalls until the
-# step is too small to move the iterate at all.  The allowance would then
-# accept that null step, since F(x) <= F(x) + noise, so a trial point equal
-# to x is rejected before the test.  32 ulps covers pairwise-summation noise
-# of the objectives at stake while staying far below any meaningful decrease.
+# Evaluation-noise allowance on every acceptance test of both searches,
+# scaled by |F(x)|.  Near a minimizer the true per-step decrease falls below
+# the roundoff in evaluating F; without the allowance a search rejects real
+# progress on noise and backtracks until the objective stops changing.  The
+# allowance would then accept a null step, since F(x) <= F(x) + noise, so a
+# trial point equal to x is rejected before the test.  32 ulps covers
+# pairwise-summation noise of the objectives at stake while staying far
+# below any meaningful decrease.
 _EVAL_NOISE = 32.0 * np.finfo(np.float64).eps
 
 Objective = Callable[[np.ndarray], float]
@@ -82,14 +83,12 @@ class BetaSearchResult:
     step_size: float
 
 
-def project_orthant(y, x_ref) -> np.ndarray:
+def project_orthant(y: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
     """Project y onto the closed orthant inhabited by x_ref.
 
     Componentwise: max{0, y} where x_ref > 0, min{0, y} where x_ref < 0,
     and exact 0 where x_ref == 0.
     """
-    y = as_vector(y)
-    x_ref = as_vector(x_ref, y.shape[0])
     return np.where(
         x_ref > 0.0,
         np.maximum(0.0, y),
@@ -97,7 +96,7 @@ def project_orthant(y, x_ref) -> np.ndarray:
     )
 
 
-def orthant_boundary_step(x, d) -> tuple[float, np.ndarray]:
+def orthant_boundary_step(x: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest step along d keeping sgn(x + alpha*d) == sgn(x).
 
     Returns (alpha, binding) where binding holds the indices whose ratio
@@ -105,8 +104,6 @@ def orthant_boundary_step(x, d) -> tuple[float, np.ndarray]:
     exact zeros at x + alpha*d.  Requires that some component crosses at
     the full step.
     """
-    x = as_vector(x)
-    d = as_vector(d, x.shape[0])
     s_x = np.sign(x)
     crossing = (d != 0.0) & (s_x != 0.0) & (np.sign(x + d) != s_x)
     if not np.any(crossing):
@@ -122,12 +119,35 @@ def _signs_match(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(np.sign(a), np.sign(b)))
 
 
+def _accepts(
+    f_total: Objective,
+    f_x: float,
+    x: np.ndarray,
+    y: np.ndarray,
+    change: float,
+    step: float,
+    j: int,
+) -> bool:
+    """The acceptance test of both searches: F(y) <= F(x) + change + noise.
+
+    Raises LineSearchError, without evaluating F, when y equals x: the step
+    is too small to move the iterate, which means F and its gradient
+    disagree.
+    """
+    if np.array_equal(y, x):
+        raise LineSearchError(
+            f"line search failed: trial step {step:.3g} does not move the "
+            f"iterate after {j} backtracks"
+        )
+    return f_total(y) <= f_x + change + _EVAL_NOISE * (1.0 + abs(f_x))
+
+
 def linesearch_phi(
     f_total: Objective,
-    x,
-    d,
-    indices,
-    grad_total_reduced,
+    x: np.ndarray,
+    d: np.ndarray,
+    indices: np.ndarray,
+    grad_total_reduced: np.ndarray,
     eta: float,
     xi: float,
 ) -> PhiSearchResult:
@@ -141,18 +161,14 @@ def linesearch_phi(
     equal to ``x`` (a step too small to move the iterate) or exceeds
     MAX_BACKTRACKS, since either means F and its gradient disagree.
     """
-    x = as_vector(x)
-    d = as_vector(d, x.shape[0])
-    idx = as_index_set(indices, x.shape[0])
-    slope = float(as_vector(grad_total_reduced, idx.shape[0]) @ d[idx])
+    slope = float(grad_total_reduced @ d[indices])
     f_x = f_total(x)
-    noise = _EVAL_NOISE * (1.0 + abs(f_x))
     sign_x = np.sign(x)
 
     j = 0
     y = project_orthant(x + d, x)
     while not _signs_match(y, sign_x):
-        if f_total(y) <= f_x + noise:
+        if _accepts(f_total, f_x, x, y, 0.0, xi**j, j):
             return PhiSearchResult(y, PhiOutcome.ADD, j, xi**j)
         j += 1
         if j > MAX_BACKTRACKS:
@@ -166,17 +182,12 @@ def linesearch_phi(
         alpha_b, binding = orthant_boundary_step(x, d)
         y_b = x + alpha_b * d
         y_b[binding] = 0.0
-        if f_total(y_b) <= f_x + eta * alpha_b * slope + noise:
+        if _accepts(f_total, f_x, x, y_b, eta * alpha_b * slope, alpha_b, j):
             return PhiSearchResult(y_b, PhiOutcome.ADD, j, alpha_b)
         y = x + xi**j * d
 
     while True:
-        if np.array_equal(y, x):
-            raise LineSearchError(
-                f"line search failed: trial step {xi**j:.3g} does not move the "
-                f"iterate after {j} backtracks"
-            )
-        if f_total(y) <= f_x + eta * xi**j * slope + noise:
+        if _accepts(f_total, f_x, x, y, eta * xi**j * slope, xi**j, j):
             return PhiSearchResult(y, PhiOutcome.SUFFICIENT_DECREASE, j, xi**j)
         j += 1
         if j > MAX_BACKTRACKS:
@@ -186,20 +197,23 @@ def linesearch_phi(
         y = x + xi**j * d
 
 
-def linesearch_beta(f_total: Objective, x, d, eta: float, xi: float) -> BetaSearchResult:
+def linesearch_beta(
+    f_total: Objective, x: np.ndarray, d: np.ndarray, eta: float, xi: float
+) -> BetaSearchResult:
     """Armijo backtracking for a direction freeing zero variables.
 
-    Returns the first j >= 0 with F(x + xi^j d) <= F(x) - eta * xi^j * ||d||^2.
+    Returns the first j >= 0 with
+    F(x + xi^j d) <= F(x) - eta * xi^j * ||d||^2 + noise.  Raises
+    LineSearchError when a trial point equals ``x`` or the search exceeds
+    MAX_BACKTRACKS.
     """
-    x = as_vector(x)
-    d = as_vector(d, x.shape[0])
     f_x = f_total(x)
     d_norm_sq = float(d @ d)
     j = 0
     while True:
         step = xi**j
         y = x + step * d
-        if f_total(y) <= f_x - eta * step * d_norm_sq:
+        if _accepts(f_total, f_x, x, y, -eta * step * d_norm_sq, step, j):
             return BetaSearchResult(y, j, step)
         j += 1
         if j > MAX_BACKTRACKS:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .linalg import SparseMatrix, as_index_set, as_vector, spmv, spmv_transpose
+from .linalg import SparseMatrix, as_vector, spmv, spmv_transpose
 
 __all__ = [
     "ObjectiveOracle",
@@ -46,16 +46,13 @@ class ObjectiveOracle(ABC):
     def gradient(self, x) -> np.ndarray:
         """grad f(x)."""
 
-    def reduced_hessian_apply(self, x, indices, v) -> np.ndarray:
-        """[H(x)]_{I,I} v + shift*v for the index set I."""
-        return self.reduced_hessian_operator(x, indices)(v)
-
     @abstractmethod
     def reduced_hessian_operator(self, x, indices) -> Callable[[np.ndarray], np.ndarray]:
         """Return a closure applying the shifted reduced Hessian at fixed (x, I).
 
         The closure amortizes any per-(x, I) setup over the many products a
-        CG solve performs.
+        CG solve performs.  It applies [H(x)]_{I,I} v + shift*v and expects
+        a float64 vector of length |I|, unchecked.
         """
 
 
@@ -91,7 +88,7 @@ class LogisticObjective(ObjectiveOracle):
         return self.matrix.n_rows
 
     def _margins(self, x) -> np.ndarray:
-        return self.labels * spmv(self.matrix, as_vector(x, self.dim))
+        return self.labels * spmv(self.matrix, x)
 
     def value(self, x) -> float:
         t = self._margins(x)
@@ -109,7 +106,6 @@ class LogisticObjective(ObjectiveOracle):
         shift = self.hessian_shift
 
         def apply(v: np.ndarray) -> np.ndarray:
-            v = as_vector(v, sub.n_cols)
             return spmv_transpose(sub, weights * spmv(sub, v)) + shift * v
 
         return apply
@@ -143,11 +139,9 @@ class QuadraticObjective(ObjectiveOracle):
         return self.diag * v + self.linear
 
     def reduced_hessian_operator(self, x, indices):
-        idx = as_index_set(indices, self.dim)
-        d_reduced = self.diag[idx] + self.hessian_shift
+        d_reduced = self.diag[indices] + self.hessian_shift
 
         def apply(v: np.ndarray) -> np.ndarray:
-            v = as_vector(v, idx.shape[0])
             return d_reduced * v
 
         return apply

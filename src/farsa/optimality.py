@@ -1,47 +1,36 @@
-"""Index partition, optimality measures, termination test, and shrink step.
+"""Optimality measures, termination test, and the shrink step.
 
 The two measures split stationarity violation between the zero variables
 (``beta``) and the nonzero variables (``phi``): at a minimizer of
-f(x) + lam*||x||_1 both vanish.  Their supports are disjoint by
-construction, and the full-step shrink (ISTA) displacement equals
-``-(beta + phi)`` componentwise, which the test suite checks exhaustively.
+f(x) + lam*||x||_1 both vanish.  Both come from one kernel: with s the
+full-step shrink (ISTA) displacement, ``beta = -s`` where ``x == 0`` and
+``phi = -s`` elsewhere, so their supports are disjoint and
+``s = -(beta + phi)`` componentwise.  The test suite checks all three
+against independent case-table transcriptions.
 
 Zero detection is exact (``x[i] == 0``), never tolerance-based: every update
 in this package writes exact zeros (projections clamp, the shrink map and
-scatter write literal 0.0), so sign-based bookkeeping is well defined.
+the reduced-direction embeddings write literal 0.0), so sign-based
+bookkeeping is well defined.
+
+Inputs are the solver's own float64 vectors; ``solve`` and ``ista_solve``
+check the user's x0 and each gradient the oracle returns before they get
+here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
-
 __all__ = [
-    "IndexPartition",
     "OptimalityPair",
-    "partition_indices",
-    "compute_beta",
-    "compute_phi",
     "optimality_measures",
     "is_optimal",
     "ista_step",
 ]
-
-
-@dataclass(frozen=True)
-class IndexPartition:
-    """Disjoint split of {0,...,n-1} by the exact sign of x."""
-
-    zero: np.ndarray
-    positive: np.ndarray
-    negative: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.zero.size + self.positive.size + self.negative.size
 
 
 @dataclass(frozen=True)
@@ -58,71 +47,38 @@ class OptimalityPair:
         return max(self.beta_norm, self.phi_norm)
 
 
-def partition_indices(x) -> IndexPartition:
-    """Partition variables by exact sign."""
-    v = as_vector(x)
-    return IndexPartition(
-        zero=np.flatnonzero(v == 0.0),
-        positive=np.flatnonzero(v > 0.0),
-        negative=np.flatnonzero(v < 0.0),
-    )
+def ista_step(x: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
+    """Displacement of the unit-step shrink update: shrink(x - g) - x.
+
+    With u = x - g the step is lam - g[i] where u[i] < -lam, -x[i] where
+    u[i] in [-lam, lam], and -g[i] - lam where u[i] > lam.
+    """
+    u = x - grad
+    return np.where(u < -lam, lam - grad, np.where(u > lam, -grad - lam, -x))
 
 
-def compute_beta(x, grad, lam: float) -> np.ndarray:
-    """Optimality measure on the zero variables.
+def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> OptimalityPair:
+    """Compute beta(x) and phi(x) with their l2 norms.
 
     For x[i] == 0, beta[i] is g[i]+lam when that is negative, g[i]-lam when
-    that is positive, and 0 when |g[i]| <= lam; beta is 0 on the nonzeros.
+    that is positive, and 0 when |g[i]| <= lam.  For x[i] != 0,
+
+        phi[i] = min{g+lam, max{x, g-lam}}[i]   if x[i] > 0 and (g+lam)[i] > 0
+               = max{g-lam, min{x, g+lam}}[i]   if x[i] < 0 and (g-lam)[i] < 0
+               = (g + lam*sgn(x))[i]            otherwise.
+
+    Both are the negated shrink step on their half of the split.
     """
-    v = as_vector(x)
-    g = as_vector(grad, v.shape[0])
-    g_plus = g + lam
-    g_minus = g - lam
-    beta = np.zeros_like(v)
-    zero = v == 0.0
-    lo = zero & (g_plus < 0.0)
-    hi = zero & (g_minus > 0.0)
-    beta[lo] = g_plus[lo]
-    beta[hi] = g_minus[hi]
-    return beta
-
-
-def compute_phi(x, grad, lam: float) -> np.ndarray:
-    """Optimality measure on the nonzero variables.
-
-    phi[i] = 0                                   if x[i] == 0
-           = min{g+lam, max{x, g-lam}}[i]        if x[i] > 0 and (g+lam)[i] > 0
-           = max{g-lam, min{x, g+lam}}[i]        if x[i] < 0 and (g-lam)[i] < 0
-           = (g + lam*sgn(x))[i]                 otherwise.
-
-    The branch conditions overlap at (g+lam)[i] == 0 with x[i] > 0 (and the
-    mirrored case); both branches produce the same value there.
-    """
-    v = as_vector(x)
-    g = as_vector(grad, v.shape[0])
-    g_plus = g + lam
-    g_minus = g - lam
-    pos = v > 0.0
-    neg = v < 0.0
-    phi = np.zeros_like(v)
-    b_pos = pos & (g_plus > 0.0)
-    phi[b_pos] = np.minimum(g_plus[b_pos], np.maximum(v[b_pos], g_minus[b_pos]))
-    b_neg = neg & (g_minus < 0.0)
-    phi[b_neg] = np.maximum(g_minus[b_neg], np.minimum(v[b_neg], g_plus[b_neg]))
-    rest = (pos | neg) & ~b_pos & ~b_neg
-    phi[rest] = g[rest] + lam * np.sign(v[rest])
-    return phi
-
-
-def optimality_measures(x, grad, lam: float) -> OptimalityPair:
-    """Compute beta(x) and phi(x) with their l2 norms."""
-    beta = compute_beta(x, grad, lam)
-    phi = compute_phi(x, grad, lam)
+    measure = -ista_step(x, grad, lam)
+    beta = np.where(x == 0.0, measure, 0.0)
+    phi = measure - beta  # exact: measure - measure is 0.0 on the zeros
+    # sqrt(v.dot(v)) is what np.linalg.norm computes for a real vector,
+    # without its per-call dispatch
     return OptimalityPair(
         beta=beta,
         phi=phi,
-        beta_norm=float(np.linalg.norm(beta)),
-        phi_norm=float(np.linalg.norm(phi)),
+        beta_norm=math.sqrt(beta.dot(beta)),
+        phi_norm=math.sqrt(phi.dot(phi)),
     )
 
 
@@ -131,16 +87,3 @@ def is_optimal(pair: OptimalityPair, epsilon: float) -> bool:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     return pair.max_norm <= epsilon
-
-
-def ista_step(x, grad, lam: float) -> np.ndarray:
-    """Displacement of the unit-step shrink update: shrink(x - g) - x.
-
-    With u = x - g the step is lam - g[i] where u[i] < -lam, -x[i] where
-    u[i] in [-lam, lam], and -g[i] - lam where u[i] > lam.  Equals
-    -(beta + phi) componentwise.
-    """
-    v = as_vector(x)
-    g = as_vector(grad, v.shape[0])
-    u = v - g
-    return np.where(u < -lam, lam - g, np.where(u > lam, -g - lam, -v))

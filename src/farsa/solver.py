@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from .linalg import as_vector
 from .linesearch import LineSearchError, linesearch_beta, linesearch_phi
 from .objectives import ObjectiveOracle
 from .optimality import OptimalityPair, is_optimal, optimality_measures
@@ -36,7 +37,6 @@ __all__ = [
     "solve",
     "phi_iteration",
     "beta_iteration",
-    "selection_satisfies",
 ]
 
 
@@ -53,8 +53,6 @@ class SolverConfig:
     gamma: float = 1.0
     eta: float = 1e-2
     xi: float = 0.5
-    eta_phi: float = 1.0
-    eta_beta: float = 1.0
     max_iter: int = 1000
     time_limit: float = 600.0
 
@@ -69,10 +67,6 @@ class SolverConfig:
             raise ValueError("eta must be in (0, 0.5]")
         if not 0 < self.xi < 1:
             raise ValueError("xi must be in (0, 1)")
-        if not 0 < self.eta_phi <= 1:
-            raise ValueError("eta_phi must be in (0, 1]")
-        if not 0 < self.eta_beta <= 1:
-            raise ValueError("eta_beta must be in (0, 1]")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.time_limit <= 0:
@@ -140,18 +134,6 @@ class SolveReport:
         return sum(1 for r in self.trace if r.type is IterationType.BETA)
 
 
-def selection_satisfies(measure: np.ndarray, indices: np.ndarray, fraction: float) -> bool:
-    """Check ||measure[I]|| >= fraction * ||measure|| for a support selection.
-
-    Trivially true for the full-support choice used here; kept as the hook
-    for partial-support strategies.  The tiny relative slack absorbs the
-    last-bit difference between norms of a vector and of its own support
-    (pairwise summation groups them differently).
-    """
-    full = float(np.linalg.norm(measure))
-    return float(np.linalg.norm(measure[indices])) >= fraction * full * (1.0 - 1e-12)
-
-
 def _total_objective(oracle: ObjectiveOracle, lam: float, x: np.ndarray) -> float:
     return oracle.value(x) + lam * float(np.sum(np.abs(x)))
 
@@ -172,7 +154,6 @@ def phi_iteration(
     """Reduced Newton-CG step over the support of phi, then projected search."""
     x = state.x
     indices = np.flatnonzero(pair.phi != 0.0)
-    assert selection_satisfies(pair.phi, indices, config.eta_phi)
     g_reduced = (grad + config.lam * np.sign(x))[indices]
 
     step_cap = _clamp(state.last_phi_step_norm, 1e-3, 1e3, scale=10.0)
@@ -216,7 +197,6 @@ def beta_iteration(
     """Free zero variables along the safeguarded scaled beta direction."""
     x = state.x
     indices = np.flatnonzero(pair.beta != 0.0)
-    assert selection_satisfies(pair.beta, indices, config.eta_beta)
     beta_reduced = pair.beta[indices]
 
     scale = _clamp(state.last_beta_step_norm, 1e-5, 1.0)
@@ -242,25 +222,27 @@ def beta_iteration(
     )
 
 
-def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport:
-    """Minimize f(x) + lam*||x||_1 from x0 (default: the zero vector)."""
-    n = oracle.dim
+def _initial_point(x0, n: int) -> np.ndarray:
+    """A checked float64 copy of x0 (length n, finite), or the zero vector."""
     if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != (n,):
-            raise ValueError(f"x0 must have length {n}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x0 contains non-finite entries")
+        return np.zeros(n)
+    return as_vector(x0, n).copy()
 
-    state = SolverState(x=x)
+
+def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport:
+    """Minimize f(x) + lam*||x||_1 from x0 (default: the zero vector).
+
+    x0 and every gradient the oracle returns are checked (length n, finite)
+    here; the layers below trust the vectors they are given.
+    """
+    n = oracle.dim
+    state = SolverState(x=_initial_point(x0, n))
     trace: list[IterationRecord] = []
     while True:
         if state.elapsed() > config.time_limit:
             status = SolveStatus.TIME_LIMIT
             break
-        grad = oracle.gradient(state.x)
+        grad = as_vector(oracle.gradient(state.x), n)
         pair = optimality_measures(state.x, grad, config.lam)
         if is_optimal(pair, config.epsilon):
             status = SolveStatus.OPTIMAL

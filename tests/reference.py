@@ -33,8 +33,14 @@ def dense_matvec_transpose(dense, x):
     return out
 
 
+def _floats(v):
+    """Python floats (IEEE doubles, as float64) for fast scalar loops."""
+    return np.asarray(v, dtype=float).tolist()
+
+
 def beta_scalar(x, g, lam):
     """Straight-line transcription of the zero-variable measure case table."""
+    x, g = _floats(x), _floats(g)
     out = np.zeros(len(x))
     for i in range(len(x)):
         if x[i] == 0.0 and g[i] + lam < 0.0:
@@ -48,6 +54,7 @@ def beta_scalar(x, g, lam):
 
 def phi_scalar(x, g, lam):
     """Straight-line transcription of the nonzero-variable measure case table."""
+    x, g = _floats(x), _floats(g)
     out = np.zeros(len(x))
     for i in range(len(x)):
         if x[i] == 0.0:
@@ -64,6 +71,7 @@ def phi_scalar(x, g, lam):
 
 def shrink_step_scalar(x, g, lam):
     """Straight-line transcription of the unit-step shrink displacement."""
+    x, g = _floats(x), _floats(g)
     out = np.zeros(len(x))
     for i in range(len(x)):
         u = x[i] - g[i]
@@ -74,6 +82,29 @@ def shrink_step_scalar(x, g, lam):
         else:
             out[i] = -x[i]
     return out
+
+
+def model_decrease(g, d, hvp):
+    """Reduced quadratic model m(d) = g^T d + 0.5 d^T H d, so m(0) = 0."""
+    g = np.asarray(g, dtype=float)
+    d = np.asarray(d, dtype=float)
+    return float(g @ d) + 0.5 * float(d @ hvp(d))
+
+
+def reference_direction(g, hvp):
+    """Exact minimizer of the model along -g: d = -alpha*g, alpha = ||g||^2 / g^T H g."""
+    g = np.asarray(g, dtype=float)
+    curvature = float(g @ hvp(g))
+    if curvature <= 0.0:
+        raise ArithmeticError(f"oracle not positive definite: g^T H g = {curvature}")
+    alpha = float(g @ g) / curvature
+    return -alpha * g, alpha
+
+
+def accept_direction(g, dbar, d_ref, hvp):
+    """Direction acceptance: g^T dbar <= g^T d_ref and m(dbar) <= m(0) = 0, exactly."""
+    g = np.asarray(g, dtype=float)
+    return bool(g @ dbar <= g @ d_ref) and model_decrease(g, dbar, hvp) <= 0.0
 
 
 def logistic_value_naive(dense, labels, x):

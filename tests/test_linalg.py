@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import SparseMatrix, gather, scatter, spmv, spmv_transpose
+from farsa import SparseMatrix, spmv, spmv_transpose
 from reference import dense_matvec, dense_matvec_transpose, random_sparse_dense
 
 
@@ -67,34 +67,13 @@ def test_spmv_dimension_mismatch_names_both():
         spmv_transpose(a, np.ones(5))
 
 
-def test_gather_scatter_hand_cases():
-    assert_allclose(gather([5.0, 6.0, 7.0], [0, 2]), [5.0, 7.0])
-    out = scatter([5.0, 7.0], [0, 2], 3)
-    assert_allclose(out, [5.0, 0.0, 7.0])
-    assert out[1] == 0.0
-
-
-def test_gather_scatter_round_trips():
-    rng = np.random.default_rng(10)
-    for _ in range(25):
-        n = int(rng.integers(1, 40))
-        v = rng.normal(size=n)
-        k = int(rng.integers(0, n + 1))
-        idx = np.sort(rng.choice(n, size=k, replace=False))
-        restored = scatter(gather(v, idx), idx, n)
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        assert np.array_equal(restored[mask], v[mask])
-        assert np.all(restored[~mask] == 0.0)
-        # scatter then gather returns the reduced vector exactly
-        assert np.array_equal(gather(scatter(v[idx], idx, n), idx), v[idx])
-
-
-def test_gather_out_of_range_rejected():
+def test_column_submatrix_index_set_checked():
+    a = SparseMatrix.from_dense([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError, match="outside"):
-        gather([1.0, 2.0], [0, 2])
+        a.column_submatrix([0, 3])
     with pytest.raises(ValueError, match="strictly increasing"):
-        gather([1.0, 2.0, 3.0], [1, 1])
+        a.column_submatrix([1, 1])
+    assert_allclose(a.column_submatrix([0, 2]).to_dense(), [[1.0, 3.0]])
 
 
 def test_csr_invariants_enforced():

@@ -18,7 +18,7 @@ ETA, XI = 1e-2, 0.5
 
 class TestProjection:
     def test_case_table(self):
-        out = project_orthant([2.0, 3.0, 5.0], [1.0, -1.0, 0.0])
+        out = project_orthant(np.array([2.0, 3.0, 5.0]), np.array([1.0, -1.0, 0.0]))
         assert_allclose(out, [2.0, 0.0, 0.0])
         assert out[1] == 0.0 and out[2] == 0.0
 
@@ -172,6 +172,14 @@ class TestBetaSearch:
         f = lambda z: 0.0 if np.array_equal(z, x) else 1e-3
         with pytest.raises(LineSearchError, match="line search failed"):
             linesearch_beta(f, x, np.array([1.0, 0.0]), ETA, XI)
+
+    def test_step_too_short_to_move_raises(self):
+        # x + d rounds back to x: the search must report the null step, not
+        # return it as accepted
+        f = lambda z: -z[0]
+        x = np.array([1.0])
+        with pytest.raises(LineSearchError, match="does not move the iterate"):
+            linesearch_beta(f, x, np.array([1e-17]), ETA, XI)
 
     def test_monotone_descent(self):
         rng = np.random.default_rng(35)

@@ -254,6 +254,54 @@ class TestFailureModes:
             solve(DivergentOracle(), SolverConfig(lam=1.0))
 
 
+class UncheckedOracle(ObjectiveOracle):
+    """A user oracle that checks nothing and returns a fixed gradient."""
+
+    def __init__(self, grad):
+        self.grad = grad
+
+    @property
+    def dim(self):
+        return 2
+
+    def value(self, x):
+        return float(np.sum(np.square(x)))
+
+    def gradient(self, x):
+        return self.grad
+
+    def reduced_hessian_operator(self, x, indices):
+        return lambda v: v
+
+
+SOLVERS = [
+    pytest.param(lambda oracle, x0: solve(oracle, SolverConfig(lam=1.0), x0=x0), id="farsa"),
+    pytest.param(lambda oracle, x0: ista_solve(oracle, 1.0, IstaConfig(), x0=x0), id="ista"),
+]
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("run", SOLVERS)
+    @pytest.mark.parametrize(
+        "x0, message",
+        [(np.array([np.nan, 0.0]), "non-finite"), (np.zeros(3), "length 2")],
+        ids=["nan", "wrong-length"],
+    )
+    def test_bad_x0_rejected(self, run, x0, message):
+        with pytest.raises(ValueError, match=message):
+            run(UncheckedOracle(np.ones(2)), x0)
+
+    @pytest.mark.parametrize("run", SOLVERS)
+    @pytest.mark.parametrize(
+        "grad, message",
+        [(np.array([np.nan, 0.0]), "non-finite"), (np.ones(3), "length 2")],
+        ids=["nan", "wrong-length"],
+    )
+    def test_bad_gradient_rejected(self, run, grad, message):
+        with pytest.raises(ValueError, match=message):
+            run(UncheckedOracle(grad), None)
+
+
 class TestConfigValidation:
     def test_rejects_out_of_range_constants(self):
         with pytest.raises(ValueError, match="lam"):
