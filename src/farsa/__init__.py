@@ -21,10 +21,9 @@ from .datasets import (
 from .ista import IstaConfig, ista_solve, shrink
 from .linalg import SparseMatrix, spmv, spmv_transpose
 from .linesearch import (
-    BetaSearchResult,
     LineSearchError,
     PhiOutcome,
-    PhiSearchResult,
+    SearchResult,
     linesearch_beta,
     linesearch_phi,
     project_orthant,
@@ -45,7 +44,6 @@ from .subproblem import CgLimits, CgOutcome, CgStopReason, cg_solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaSearchResult",
     "CgLimits",
     "CgOutcome",
     "CgStopReason",
@@ -59,8 +57,8 @@ __all__ = [
     "ObjectiveOracle",
     "OptimalityPair",
     "PhiOutcome",
-    "PhiSearchResult",
     "QuadraticObjective",
+    "SearchResult",
     "SolveReport",
     "SolveStatus",
     "SolverConfig",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -35,8 +36,8 @@ DEFAULT_TOLERANCES = "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6"
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r}: must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be positive and finite")
     return value
 
 
@@ -49,8 +50,8 @@ def _positive_int(text: str) -> int:
 
 def _epsilon(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("epsilon must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("epsilon must be positive and finite")
     return value
 
 
@@ -266,8 +267,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         eps_values = [float(t) for t in tolerances]
     except ValueError as exc:
         raise UsageError(f"bad tolerance: {exc}") from None
-    if any(e <= 0 for e in eps_values):
-        raise UsageError("epsilon must be positive")
+    if not all(0 < e < math.inf for e in eps_values):
+        raise UsageError("epsilon must be positive and finite")
 
     dataset = _load(args)
     lam = args.lam if args.lam is not None else 1.0 / dataset.n_samples

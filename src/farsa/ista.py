@@ -8,6 +8,7 @@ are directly comparable.  With unit step the update displacement equals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -27,20 +28,14 @@ _MIN_STEP = 1e-20
 
 @dataclass(frozen=True)
 class IstaConfig:
-    """Step-size rule (fixed positive value or "backtracking") and budgets."""
+    """Termination tolerance and iteration budget; the step always backtracks."""
 
-    step_size: float | str = "backtracking"
     epsilon: float = 1e-6
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if isinstance(self.step_size, str):
-            if self.step_size != "backtracking":
-                raise ValueError("step_size must be positive or 'backtracking'")
-        elif self.step_size <= 0:
-            raise ValueError("step_size must be positive or 'backtracking'")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -59,54 +54,48 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
 
     Backtracking halves t until the quadratic upper bound
     f(x+) <= f(x) + grad^T (x+ - x) + ||x+ - x||^2 / (2t) holds, then grows
-    t by 10% for the next iteration; a fixed step skips the test.  x0 and
-    every gradient are checked as in ``solve``.
+    t by 10% for the next iteration.  f is evaluated once per trial point:
+    the accepted point's value is the next iteration's f(x) and, with the
+    l1 term, the final objective.  ``lam`` (positive, finite), x0 and every
+    gradient are checked as in ``solve``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     n = oracle.dim
     x = _initial_point(x0, n)
+    f_x = oracle.value(x)
 
-    backtracking = config.step_size == "backtracking"
-    t = 1.0 if backtracking else float(config.step_size)
+    t = 1.0
     started = perf_counter()
     status = SolveStatus.MAX_ITERATIONS
-    iterations = 0
     for k in range(config.max_iter + 1):
         grad = as_vector(oracle.gradient(x), n)
         pair = optimality_measures(x, grad, lam)
         if is_optimal(pair, config.epsilon):
             status = SolveStatus.OPTIMAL
-            iterations = k
             break
         if k == config.max_iter:
-            iterations = k
             break
-        if backtracking:
-            f_x = oracle.value(x)
-            # roundoff allowance: near the optimum both sides of the test
-            # agree to cancellation noise, and halving t on ulp phantoms
-            # would stall the iteration
-            slack = 1e-12 * (1.0 + abs(f_x))
-            while True:
-                x_next = shrink(x - t * grad, t * lam)
-                diff = x_next - x
-                bound = f_x + float(grad @ diff) + float(diff @ diff) / (2.0 * t)
-                if oracle.value(x_next) <= bound + slack:
-                    break
-                t *= _BACKTRACK_FACTOR
-                if t < _MIN_STEP:
-                    raise ArithmeticError(
-                        f"backtracking step vanished at iteration {k}"
-                    )
-            x = x_next
-            t *= _GROWTH_FACTOR
-        else:
-            x = shrink(x - t * grad, t * lam)
+        # roundoff allowance: near the optimum both sides of the test agree
+        # to cancellation noise, and halving t on ulp phantoms would stall
+        # the iteration
+        slack = 1e-12 * (1.0 + abs(f_x))
+        while True:
+            x_next = shrink(x - t * grad, t * lam)
+            diff = x_next - x
+            bound = f_x + float(grad @ diff) + float(diff @ diff) / (2.0 * t)
+            f_next = oracle.value(x_next)
+            if f_next <= bound + slack:
+                break
+            t *= _BACKTRACK_FACTOR
+            if t < _MIN_STEP:
+                raise ArithmeticError(f"backtracking step vanished at iteration {k}")
+        x, f_x = x_next, f_next
+        t *= _GROWTH_FACTOR
         if not np.isfinite(x).all():
             raise ArithmeticError(f"iterate became non-finite at iteration {k}")
 
-    objective = oracle.value(x) + lam * float(np.sum(np.abs(x)))
+    objective = f_x + lam * float(np.sum(np.abs(x)))
     return SolveReport(
         status=status,
         x_final=x,
@@ -114,5 +103,5 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
         percent_zeros=100.0 * float(np.count_nonzero(x == 0.0)) / n,
         trace=[],
         total_time=perf_counter() - started,
-        iterations=iterations,
+        iterations=k,
     )

@@ -1,22 +1,25 @@
 """Orthant projection and the two backtracking line searches.
 
-The phi-search is a projected backtracking search: while the trial point
-leaves the orthant of the current iterate, plain decrease of the objective
-is enough (support shrinkage pays for itself); once trial points stay in the
-orthant, it first tries the largest in-orthant step and then falls back to
-standard Armijo backtracking.  The beta-search is plain Armijo backtracking
-against -eta * step * ||d||^2.
+Both searches end in one Armijo loop, ``_armijo``: the first j with
+F(x + XI^j d) <= F(x) + ETA * XI^j * slope + noise.  The beta-search is that
+loop from j = 0 with slope -||d||^2.  The phi-search first backtracks along
+the projected path: while the trial point leaves the orthant of the current
+iterate, plain decrease of the objective is enough (support shrinkage pays
+for itself); once trial points stay in the orthant, it tries the largest
+in-orthant step, then hands off to the Armijo loop at its current j with
+slope g^T d.  Both searches write exact zeros for any component they send
+to zero, so the sign-based bookkeeping elsewhere stays exact.
 
-Both searches write exact zeros for any component they send to zero, so the
-sign-based bookkeeping elsewhere stays exact.
+Every trial point goes through ``_accept``: F(y) <= F(x) + change + noise,
+with ``change`` the Armijo term (zero for the plain-decrease test) and
+``noise`` the allowance below.  It is the one place that raises
+LineSearchError: past MAX_BACKTRACKS, or at a trial point equal to x (only
+Armijo trials can reach one; every other trial differs from x in a sign or
+a zero).
 
-Every trial point of both searches goes through one acceptance test,
-``_accepts``: F(y) <= F(x) + change + noise, with ``change`` the Armijo term
-(zero for the phi-search's plain-decrease test) and ``noise`` the
-evaluation-noise allowance below.  Neither search returns a null step: a
-trial point equal to the current iterate raises LineSearchError.  Only
-Armijo trials can reach one; every other trial point differs from x in a
-sign or a zero.
+Each search must evaluate F(x) first and return right after evaluating the
+accepted point: the bench tracer reads the first value as F(x) and the last
+as F at the accepted point.
 """
 
 from __future__ import annotations
@@ -30,16 +33,22 @@ import numpy as np
 __all__ = [
     "LineSearchError",
     "PhiOutcome",
-    "PhiSearchResult",
-    "BetaSearchResult",
+    "SearchResult",
     "project_orthant",
     "orthant_boundary_step",
     "linesearch_phi",
     "linesearch_beta",
     "MAX_BACKTRACKS",
+    "ETA",
+    "XI",
 ]
 
-# With xi = 0.5 this allows steps down to ~1e-30; reaching it, or reaching a
+# Armijo sufficient-decrease fraction and backtracking factor (the paper's
+# eta and xi).
+ETA = 1e-2
+XI = 0.5
+
+# With XI = 0.5 this allows steps down to ~1e-30; reaching it, or reaching a
 # trial point that rounds back to x (from about j = 53 on when |d| ~ |x|),
 # means the objective and gradient are inconsistent, not that more halving
 # would help.
@@ -64,23 +73,21 @@ class LineSearchError(RuntimeError):
 
 
 class PhiOutcome(Enum):
+    """ADD: a step that changes the sign pattern; SUFFICIENT_DECREASE: Armijo."""
+
     ADD = "add"
     SUFFICIENT_DECREASE = "sufficient_decrease"
 
 
 @dataclass(frozen=True)
-class PhiSearchResult:
+class SearchResult:
+    """The accepted point, F there, and how the search reached it."""
+
     next_x: np.ndarray
+    value: float
+    backtracks: int
+    step_size: float
     outcome: PhiOutcome
-    backtracks: int
-    step_size: float
-
-
-@dataclass(frozen=True)
-class BetaSearchResult:
-    next_x: np.ndarray
-    backtracks: int
-    step_size: float
 
 
 def project_orthant(y: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
@@ -115,11 +122,7 @@ def orthant_boundary_step(x: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarr
     return alpha, binding
 
 
-def _signs_match(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(np.array_equal(np.sign(a), np.sign(b)))
-
-
-def _accepts(
+def _accept(
     f_total: Objective,
     f_x: float,
     x: np.ndarray,
@@ -127,19 +130,40 @@ def _accepts(
     change: float,
     step: float,
     j: int,
-) -> bool:
-    """The acceptance test of both searches: F(y) <= F(x) + change + noise.
+    outcome: PhiOutcome,
+) -> SearchResult | None:
+    """The result at y if F(y) <= F(x) + change + noise, else None.
 
-    Raises LineSearchError, without evaluating F, when y equals x: the step
-    is too small to move the iterate, which means F and its gradient
-    disagree.
+    Raises LineSearchError, without evaluating F, past MAX_BACKTRACKS or
+    when y equals x: either means F and its gradient disagree.
     """
+    if j > MAX_BACKTRACKS:
+        raise LineSearchError(
+            f"line search failed: no acceptable step after {j} backtracks"
+        )
     if np.array_equal(y, x):
         raise LineSearchError(
             f"line search failed: trial step {step:.3g} does not move the "
             f"iterate after {j} backtracks"
         )
-    return f_total(y) <= f_x + change + _EVAL_NOISE * (1.0 + abs(f_x))
+    value = f_total(y)
+    if value <= f_x + change + _EVAL_NOISE * (1.0 + abs(f_x)):
+        return SearchResult(y, value, j, step, outcome)
+    return None
+
+
+def _armijo(
+    f_total: Objective, f_x: float, x: np.ndarray, d: np.ndarray, slope: float, j: int
+) -> SearchResult:
+    """Armijo backtracking along d from x + XI^j d."""
+    while True:
+        step = XI**j
+        y = x + step * d
+        change = ETA * step * slope
+        result = _accept(f_total, f_x, x, y, change, step, j, PhiOutcome.SUFFICIENT_DECREASE)
+        if result is not None:
+            return result
+        j += 1
 
 
 def linesearch_phi(
@@ -148,18 +172,16 @@ def linesearch_phi(
     d: np.ndarray,
     indices: np.ndarray,
     grad_total_reduced: np.ndarray,
-    eta: float,
-    xi: float,
-) -> PhiSearchResult:
+) -> SearchResult:
     """Projected backtracking search for a direction on the current support.
 
     ``f_total`` evaluates the full objective F (smooth part plus l1 term) at
     a full-space point; ``grad_total_reduced`` is the gradient of F restricted
     to ``indices`` (smooth inside the orthant), used for the Armijo slope.
-
-    Raises LineSearchError when the Armijo backtracking reaches a trial point
-    equal to ``x`` (a step too small to move the iterate) or exceeds
-    MAX_BACKTRACKS, since either means F and its gradient disagree.
+    The outcome is ADD exactly when the step changes the sign pattern of
+    ``x``: Armijo trials start at the first j whose point keeps every sign,
+    and shorter steps along the same ray keep them.  Raises LineSearchError
+    as ``_accept`` does.
     """
     slope = float(grad_total_reduced @ d[indices])
     f_x = f_total(x)
@@ -167,56 +189,29 @@ def linesearch_phi(
 
     j = 0
     y = project_orthant(x + d, x)
-    while not _signs_match(y, sign_x):
-        if _accepts(f_total, f_x, x, y, 0.0, xi**j, j):
-            return PhiSearchResult(y, PhiOutcome.ADD, j, xi**j)
+    while not np.array_equal(np.sign(y), sign_x):
+        result = _accept(f_total, f_x, x, y, 0.0, XI**j, j, PhiOutcome.ADD)
+        if result is not None:
+            return result
         j += 1
-        if j > MAX_BACKTRACKS:
-            raise LineSearchError(
-                f"line search failed: {j} backtracks without leaving the "
-                "projected-decrease loop"
-            )
-        y = project_orthant(x + xi**j * d, x)
+        y = project_orthant(x + XI**j * d, x)
 
     if j != 0:
         alpha_b, binding = orthant_boundary_step(x, d)
         y_b = x + alpha_b * d
         y_b[binding] = 0.0
-        if _accepts(f_total, f_x, x, y_b, eta * alpha_b * slope, alpha_b, j):
-            return PhiSearchResult(y_b, PhiOutcome.ADD, j, alpha_b)
-        y = x + xi**j * d
-
-    while True:
-        if _accepts(f_total, f_x, x, y, eta * xi**j * slope, xi**j, j):
-            return PhiSearchResult(y, PhiOutcome.SUFFICIENT_DECREASE, j, xi**j)
-        j += 1
-        if j > MAX_BACKTRACKS:
-            raise LineSearchError(
-                f"line search failed: Armijo condition not met after {j} backtracks"
-            )
-        y = x + xi**j * d
+        result = _accept(f_total, f_x, x, y_b, ETA * alpha_b * slope, alpha_b, j, PhiOutcome.ADD)
+        if result is not None:
+            return result
+    # at j = 0 the projected point kept every sign, so it equals x + d
+    return _armijo(f_total, f_x, x, d, slope, j)
 
 
-def linesearch_beta(
-    f_total: Objective, x: np.ndarray, d: np.ndarray, eta: float, xi: float
-) -> BetaSearchResult:
+def linesearch_beta(f_total: Objective, x: np.ndarray, d: np.ndarray) -> SearchResult:
     """Armijo backtracking for a direction freeing zero variables.
 
     Returns the first j >= 0 with
-    F(x + xi^j d) <= F(x) - eta * xi^j * ||d||^2 + noise.  Raises
-    LineSearchError when a trial point equals ``x`` or the search exceeds
-    MAX_BACKTRACKS.
+    F(x + XI^j d) <= F(x) - ETA * XI^j * ||d||^2 + noise.  Raises
+    LineSearchError as ``_accept`` does.
     """
-    f_x = f_total(x)
-    d_norm_sq = float(d @ d)
-    j = 0
-    while True:
-        step = xi**j
-        y = x + step * d
-        if _accepts(f_total, f_x, x, y, -eta * step * d_norm_sq, step, j):
-            return BetaSearchResult(y, j, step)
-        j += 1
-        if j > MAX_BACKTRACKS:
-            raise LineSearchError(
-                f"line search failed: descent condition not met after {j} backtracks"
-            )
+    return _armijo(f_total, f_total(x), x, d, -float(d @ d), 0)

@@ -3,8 +3,11 @@
 Each iteration computes the optimality measures beta and phi and terminates
 once max{||beta||, ||phi||} <= epsilon.  Otherwise it either optimizes over
 the current support (phi-iteration: reduced Newton-CG plus the projected
-line search) when ||beta|| <= gamma*||phi||, or frees zero variables
-(beta-iteration: safeguarded scaled direction plus Armijo backtracking).
+line search) when ||beta|| <= ||phi|| (the paper's gamma fixed at 1), or
+frees zero variables (beta-iteration: safeguarded scaled direction plus
+Armijo backtracking).  Each record's objective, and the report's, is the
+value the line search computed at the point it accepted; F is evaluated
+afresh only for a solve that takes no iteration.
 
 The adaptive scale factors are built from the norm of the most recent step
 of the same type: the CG step cap is max{1e-3, min{1e3, 10*prev}} and the
@@ -14,6 +17,7 @@ norm treated as +inf so the first step of each type is not truncated.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import as_vector
-from .linesearch import LineSearchError, linesearch_beta, linesearch_phi
+from .linesearch import LineSearchError, PhiOutcome, linesearch_beta, linesearch_phi
 from .objectives import ObjectiveOracle
 from .optimality import OptimalityPair, is_optimal, optimality_measures
 from .subproblem import CgLimits, cg_solve
@@ -45,31 +49,24 @@ class SolverConfig:
     """Solver parameters; the defaults are the production values.
 
     ``lam`` has no default: it is the problem, not a tuning knob.  Callers
-    solving a loaded dataset conventionally use 1/(number of samples).
+    solving a loaded dataset conventionally use 1/(number of samples).  The
+    line-search constants are fixed in ``linesearch`` (ETA, XI).
     """
 
     lam: float
     epsilon: float = 1e-6
-    gamma: float = 1.0
-    eta: float = 1e-2
-    xi: float = 0.5
     max_iter: int = 1000
     time_limit: float = 600.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if not 0 < self.eta <= 0.5:
-            raise ValueError("eta must be in (0, 0.5]")
-        if not 0 < self.xi < 1:
-            raise ValueError("xi must be in (0, 1)")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.time_limit <= 0:
+        # inf means no limit; NaN would never stop the solve for time
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 
@@ -163,21 +160,15 @@ def phi_iteration(
     d = np.zeros_like(x)
     d[indices] = outcome.direction
     f_total = partial(_total_objective, oracle, config.lam)
-    result = linesearch_phi(f_total, x, d, indices, g_reduced, config.eta, config.xi)
+    result = linesearch_phi(f_total, x, d, indices, g_reduced)
 
     next_x = result.next_x
     state.last_phi_step_norm = float(np.linalg.norm(next_x - x))
     state.x = next_x
-    # classify by the sign comparison, which in rare boundary-step cases can
-    # disagree with the line-search branch that returned
-    if np.array_equal(np.sign(next_x), np.sign(x)):
-        itype = IterationType.PHI_SD
-    else:
-        itype = IterationType.PHI_ADD
     return IterationRecord(
         k=state.k,
-        type=itype,
-        objective=f_total(next_x),
+        type=IterationType.PHI_ADD if result.outcome is PhiOutcome.ADD else IterationType.PHI_SD,
+        objective=result.value,
         beta_norm=pair.beta_norm,
         phi_norm=pair.phi_norm,
         support_size=int(np.count_nonzero(next_x)),
@@ -204,7 +195,7 @@ def beta_iteration(
     d[indices] = -scale * beta_reduced / np.linalg.norm(beta_reduced)
 
     f_total = partial(_total_objective, oracle, config.lam)
-    result = linesearch_beta(f_total, x, d, config.eta, config.xi)
+    result = linesearch_beta(f_total, x, d)
 
     next_x = result.next_x
     state.last_beta_step_norm = float(np.linalg.norm(next_x - x))
@@ -212,7 +203,7 @@ def beta_iteration(
     return IterationRecord(
         k=state.k,
         type=IterationType.BETA,
-        objective=f_total(next_x),
+        objective=result.value,
         beta_norm=pair.beta_norm,
         phi_norm=pair.phi_norm,
         support_size=int(np.count_nonzero(next_x)),
@@ -251,7 +242,8 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
             status = SolveStatus.MAX_ITERATIONS
             break
         try:
-            if pair.beta_norm <= config.gamma * pair.phi_norm:
+            # the paper's gamma = 1: a tie takes the phi branch
+            if pair.beta_norm <= pair.phi_norm:
                 record = phi_iteration(state, oracle, config, grad, pair)
             else:
                 record = beta_iteration(state, oracle, config, grad, pair)
@@ -265,7 +257,7 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
         trace.append(record)
         state.k += 1
 
-    objective = _total_objective(oracle, config.lam, state.x)
+    objective = trace[-1].objective if trace else _total_objective(oracle, config.lam, state.x)
     return SolveReport(
         status=status,
         x_final=state.x,

@@ -104,6 +104,14 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "epsilon must be positive" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--epsilon"])
+    def test_non_finite_flag_rejected(self, capsys, small_problem, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--data", small_problem, flag, value])
+        assert exc.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, capsys):
         code, out, err = run_cli(capsys, ["solve", "--data", "/no/such/file"])
         assert code == 1
@@ -206,3 +214,10 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--data", small_problem, "--tolerances", "1e-2,zap"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, small_problem, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", small_problem, "--tolerances", f"1e-2,{value}"])
+        assert exc.value.code == 2
+        assert "epsilon must be positive and finite" in capsys.readouterr().err

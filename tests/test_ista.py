@@ -1,5 +1,7 @@
 """Proximal-gradient baseline: shrink map, fixed points, and agreement."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -90,12 +92,6 @@ class TestIstaSolve:
             x_star = quadratic_l1_minimizer(obj, lam)
             assert np.linalg.norm(report.x_final - x_star) <= 1e-7
 
-    def test_fixed_step_mode(self):
-        obj = QuadraticObjective([1.0], [-3.0])
-        report = ista_solve(obj, 1.0, IstaConfig(step_size=0.5, epsilon=1e-10))
-        assert report.status is SolveStatus.OPTIMAL
-        assert_allclose(report.x_final, [2.0], atol=1e-9)
-
     def test_max_iterations_status(self):
         obj = QuadraticObjective([1.0, 3.7], [-3.0, 2.1])
         report = ista_solve(obj, 1.0, IstaConfig(epsilon=1e-10, max_iter=2))
@@ -103,9 +99,12 @@ class TestIstaSolve:
         assert report.iterations == 2
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="step_size"):
-            IstaConfig(step_size=-1.0)
-        with pytest.raises(ValueError, match="step_size"):
-            IstaConfig(step_size="fast")
         with pytest.raises(ValueError, match="epsilon"):
             IstaConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_epsilon_and_lam_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon"):
+            IstaConfig(epsilon=value)
+        with pytest.raises(ValueError, match="lam"):
+            ista_solve(QuadraticObjective([1.0], [-3.0]), value, IstaConfig())

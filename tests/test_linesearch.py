@@ -11,9 +11,7 @@ from farsa import (
     linesearch_phi,
     project_orthant,
 )
-from farsa.linesearch import orthant_boundary_step
-
-ETA, XI = 1e-2, 0.5
+from farsa.linesearch import ETA, XI, orthant_boundary_step
 
 
 class TestProjection:
@@ -67,7 +65,7 @@ class TestPhiSearch:
         x = np.array([1.0])
         d = np.array([2.0])
         grad_reduced = np.array([-2.0])
-        res = linesearch_phi(f, x, d, [0], grad_reduced, ETA, XI)
+        res = linesearch_phi(f, x, d, [0], grad_reduced)
         assert res.outcome is PhiOutcome.SUFFICIENT_DECREASE
         assert res.step_size == 1.0
         assert res.backtracks == 0
@@ -77,7 +75,7 @@ class TestPhiSearch:
         f = lambda z: float(z[0] ** 2)
         x = np.array([1.0])
         d = np.array([-2.0])
-        res = linesearch_phi(f, x, d, [0], np.array([2.0 * x[0]]), ETA, XI)
+        res = linesearch_phi(f, x, d, [0], np.array([2.0 * x[0]]))
         assert res.outcome is PhiOutcome.ADD
         assert res.next_x[0] == 0.0
         assert res.backtracks == 0
@@ -91,7 +89,7 @@ class TestPhiSearch:
         x = np.array([1.0, 1.0])
         d = np.array([-1.6, -0.5])
         grad_reduced = a @ x + b
-        res = linesearch_phi(f, x, d, [0, 1], grad_reduced, ETA, XI)
+        res = linesearch_phi(f, x, d, [0, 1], grad_reduced)
         assert res.outcome is PhiOutcome.ADD
         assert res.step_size == pytest.approx(0.625)
         assert res.next_x[0] == 0.0
@@ -107,7 +105,7 @@ class TestPhiSearch:
         x = np.array([1.0, 1.0])
         d = np.array([-1.6, -0.5])
         grad_reduced = a @ x + b
-        res = linesearch_phi(f, x, d, [0, 1], grad_reduced, ETA, XI)
+        res = linesearch_phi(f, x, d, [0, 1], grad_reduced)
         assert res.outcome is PhiOutcome.SUFFICIENT_DECREASE
         assert res.step_size == 0.25
         assert_allclose(res.next_x, [0.6, 0.875])
@@ -127,15 +125,20 @@ class TestPhiSearch:
             x[x == 0.0] = 1.0
             d = rng.normal(scale=2.0, size=n)
             grad = diag * (x - target)
-            res = linesearch_phi(f, x, d, np.arange(n), grad, ETA, XI)
+            res = linesearch_phi(f, x, d, np.arange(n), grad)
             assert f(res.next_x) <= f(x) + 1e-12  # monotone
+            assert res.value == f(res.next_x)
             if res.outcome is PhiOutcome.ADD:
                 shrunk += 1
                 assert not np.array_equal(np.sign(res.next_x), np.sign(x))
                 assert np.count_nonzero(res.next_x == 0.0) > np.count_nonzero(
                     x == 0.0
                 )
-        assert shrunk > 0  # the property was exercised
+            else:
+                # SUFFICIENT_DECREASE keeps every sign: the solver's phi_sd
+                # and phi_add come from this outcome alone
+                assert np.array_equal(np.sign(res.next_x), np.sign(x))
+        assert 0 < shrunk < 50  # both outcomes were exercised
 
     def test_inconsistent_gradient_raises(self):
         # deliberately wrong oracle: F jumps by a constant off the base point,
@@ -144,14 +147,14 @@ class TestPhiSearch:
         f = lambda z: 0.0 if np.array_equal(z, x) else 1.0
         d = np.array([1.0])
         with pytest.raises(LineSearchError, match="line search failed"):
-            linesearch_phi(f, x, d, [0], np.array([-10.0]), ETA, XI)
+            linesearch_phi(f, x, d, [0], np.array([-10.0]))
 
 
 class TestBetaSearch:
     def test_full_step_accepted_when_curvature_small(self):
         # f(z) = 0.5 z^2 - 3z + |z| at x=0 with the freeing step d = 2
         f = lambda z: 0.5 * z[0] ** 2 - 3.0 * z[0] + abs(z[0])
-        res = linesearch_beta(f, np.array([0.0]), np.array([2.0]), ETA, XI)
+        res = linesearch_beta(f, np.array([0.0]), np.array([2.0]))
         assert res.backtracks == 0
         assert res.step_size == 1.0
         assert_allclose(res.next_x, [2.0])
@@ -161,7 +164,7 @@ class TestBetaSearch:
         # f(z) = 5 z^2 - z along d=1 from 0: descent condition first holds
         # at step 0.125 (j = 3)
         f = lambda z: 5.0 * z[0] ** 2 - z[0]
-        res = linesearch_beta(f, np.array([0.0]), np.array([1.0]), ETA, XI)
+        res = linesearch_beta(f, np.array([0.0]), np.array([1.0]))
         assert res.backtracks == 3
         assert res.step_size == 0.125
 
@@ -171,7 +174,7 @@ class TestBetaSearch:
         x = np.zeros(2)
         f = lambda z: 0.0 if np.array_equal(z, x) else 1e-3
         with pytest.raises(LineSearchError, match="line search failed"):
-            linesearch_beta(f, x, np.array([1.0, 0.0]), ETA, XI)
+            linesearch_beta(f, x, np.array([1.0, 0.0]))
 
     def test_step_too_short_to_move_raises(self):
         # x + d rounds back to x: the search must report the null step, not
@@ -179,7 +182,7 @@ class TestBetaSearch:
         f = lambda z: -z[0]
         x = np.array([1.0])
         with pytest.raises(LineSearchError, match="does not move the iterate"):
-            linesearch_beta(f, x, np.array([1e-17]), ETA, XI)
+            linesearch_beta(f, x, np.array([1e-17]))
 
     def test_monotone_descent(self):
         rng = np.random.default_rng(35)
@@ -192,7 +195,7 @@ class TestBetaSearch:
             d = -np.sign(c) * rng.uniform(0.1, 1.0)
             if np.all(d * c >= 0):  # ensure descent direction
                 d = -c
-            res = linesearch_beta(f, x, d, ETA, XI)
+            res = linesearch_beta(f, x, d)
             assert f(res.next_x) <= f(x)
 
     def test_accepted_step_bounded_below_by_curvature(self):
@@ -206,5 +209,5 @@ class TestBetaSearch:
             c = rng.normal(size=n) * 3.0
             f = lambda z: 0.5 * float(z @ (diag * z)) + float(c @ z)
             d = -c  # steepest descent from the origin
-            res = linesearch_beta(f, np.zeros(n), d, ETA, XI)
+            res = linesearch_beta(f, np.zeros(n), d)
             assert res.step_size >= min(1.0, XI / lipschitz)

@@ -1,5 +1,7 @@
 """Outer solver loop: closed forms, trace invariants, budgets, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -126,7 +128,7 @@ class TestTraceInvariants:
             if max(pair.beta_norm, pair.phi_norm) <= config.epsilon:
                 break
             before = state.x.copy()
-            if pair.beta_norm <= config.gamma * pair.phi_norm:
+            if pair.beta_norm <= pair.phi_norm:
                 phi_iteration(state, obj, config, grad, pair)
                 was_zero = before == 0.0
                 assert np.all(state.x[was_zero] == 0.0)
@@ -175,7 +177,7 @@ class TestBudgets:
         assert report.trace == []
 
     def test_tie_routes_to_phi_branch(self):
-        # ||beta|| == gamma*||phi||: the phi branch must run (<= comparison)
+        # ||beta|| == ||phi||: the phi branch must run (<= comparison)
         calls = []
 
         class Spy(QuadraticObjective):
@@ -308,18 +310,65 @@ class TestConfigValidation:
             SolverConfig(lam=0.0)
         with pytest.raises(ValueError, match="epsilon"):
             SolverConfig(lam=1.0, epsilon=0.0)
-        with pytest.raises(ValueError, match="eta "):
-            SolverConfig(lam=1.0, eta=0.6)
-        with pytest.raises(ValueError, match="xi"):
-            SolverConfig(lam=1.0, xi=1.0)
-        with pytest.raises(ValueError, match="gamma"):
-            SolverConfig(lam=1.0, gamma=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["lam", "epsilon"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{"lam": 1.0, name: value})
+
+    def test_time_limit_rejects_nan_but_not_inf(self):
+        with pytest.raises(ValueError, match="time_limit"):
+            SolverConfig(lam=1.0, time_limit=math.nan)
+        assert SolverConfig(lam=1.0, time_limit=math.inf).time_limit == math.inf
 
     def test_defaults_are_the_production_values(self):
         config = SolverConfig(lam=0.1)
         assert config.epsilon == 1e-6
-        assert config.gamma == 1.0
-        assert config.eta == 1e-2
-        assert config.xi == 0.5
         assert config.max_iter == 1000
         assert config.time_limit == 600.0
+
+
+def record_value_points(oracle) -> list:
+    """Make ``oracle.value`` record a copy of every point it is called at."""
+    points = []
+    value = oracle.value
+
+    def recording(x):
+        points.append(np.array(x, copy=True))
+        return value(x)
+
+    oracle.value = recording
+    return points
+
+
+def back_to_back_repeats(points) -> list:
+    """Indices i at which points[i + 1] equals points[i]."""
+    return [i for i in range(len(points) - 1) if np.array_equal(points[i], points[i + 1])]
+
+
+class TestSingleEvaluation:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_evaluates_each_accepted_point_once(self, seed):
+        oracle, lam = random_logistic_problem(np.random.default_rng(seed), 60, 20)
+        points = record_value_points(oracle)
+        report = solve(oracle, SolverConfig(lam=lam))
+        assert report.status is SolveStatus.OPTIMAL
+        # the only repeats are each later search's own F(x) at the point the
+        # previous search accepted
+        repeats = back_to_back_repeats(points)
+        assert len(repeats) == report.iterations - 1
+        accepted = [points[i] for i in repeats] + [report.x_final]
+        fresh = lambda x: oracle.value(x) + lam * float(np.sum(np.abs(x)))
+        assert [r.objective for r in report.trace] == [fresh(x) for x in accepted]
+        assert report.objective == fresh(report.x_final)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ista_evaluates_each_point_once(self, seed):
+        oracle, lam = random_logistic_problem(np.random.default_rng(seed), 60, 20)
+        points = record_value_points(oracle)
+        report = ista_solve(oracle, lam, IstaConfig())
+        assert report.status is SolveStatus.OPTIMAL
+        assert back_to_back_repeats(points) == []
+        fresh = oracle.value(report.x_final) + lam * float(np.sum(np.abs(report.x_final)))
+        assert report.objective == fresh
