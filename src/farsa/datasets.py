@@ -189,11 +189,13 @@ def write_libsvm(dataset: Dataset, target: str | PathLike | IO[str]) -> None:
 
 def _write_lines(dataset: Dataset, handle: IO[str]) -> None:
     m = dataset.matrix
+    offsets = m.row_offsets.tolist()
+    cols = m.col_indices.tolist()
+    values = m.values.tolist()
     for i in range(m.n_rows):
-        start, end = m.row_offsets[i], m.row_offsets[i + 1]
         parts = [f"{dataset.labels[i]:g}"]
         parts.extend(
-            f"{m.col_indices[j] + 1}:{float(m.values[j])!r}" for j in range(start, end)
+            f"{cols[j] + 1}:{values[j]!r}" for j in range(offsets[i], offsets[i + 1])
         )
         handle.write(" ".join(parts) + "\n")
 

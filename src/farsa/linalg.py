@@ -1,11 +1,21 @@
 """Dense-vector and sparse-matrix kernels shared by the solver modules.
 
-Vectors are plain 1-d ``numpy.float64`` arrays.  The only matrix format is
-compressed sparse row (CSR), which is what the logistic objective streams
-row-by-row.  Index sets are sorted, duplicate-free ``int64`` arrays.
+Vectors are plain 1-d ``numpy.float64`` arrays.  Index sets are sorted,
+duplicate-free ``int64`` arrays.
+
+A ``SparseMatrix`` wraps one scipy matrix.  Matrices built through the
+constructor are compressed sparse row (CSR), the layout of LIBSVM rows and
+of ``A @ x``.  Column slices, which the reduced-space Hessian products use,
+come from a column-major (CSC) copy that each matrix builds on its first
+slice and keeps; the slices stay CSC.  Transposed products use a view of
+the same arrays, created once per matrix.  Both forms give bitwise the same
+products (see ``SparseMatrix``), so which one a matrix holds never changes
+an iterate.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,35 +57,62 @@ def as_index_set(indices, n: int) -> np.ndarray:
     return idx
 
 
+def _index_array(a) -> np.ndarray:
+    """int32 indices pass through uncopied; anything else becomes int64."""
+    a = np.asarray(a)
+    return np.ascontiguousarray(a, dtype=np.int32 if a.dtype == np.int32 else np.int64)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class SparseMatrix:
-    """Immutable CSR matrix.
+    """Immutable sparse matrix with CSR arrays.
 
     Row ``i`` stores columns ``col_indices[row_offsets[i]:row_offsets[i+1]]``
     with matching ``values``.  Column indices are strictly increasing within
-    each row.  Products are delegated to scipy's CSR kernels, which accumulate
-    left-to-right within each row, so repeated products are bit-stable on a
-    given platform.
+    each row.
+
+    The matrix holds one scipy matrix and no other copy of its arrays:
+    ``row_offsets``, ``col_indices`` and ``values`` are read-only views of
+    it, with the index dtype scipy picked (int32 whenever the indices fit).
+    The constructor validates its inputs and hands float64 values and int32
+    indices to scipy without copying them.
+
+    ``column_submatrix`` slices a column-major (CSC) copy of the matrix,
+    built on the first call and kept, and returns the slice in CSC form,
+    unchecked: slicing a validated matrix keeps its invariants.  Reading
+    ``row_offsets``, ``col_indices`` or ``values`` of such a slice converts
+    it to CSR on each read.  ``spmv_transpose`` multiplies by a transposed
+    view of the arrays, created on its first call and kept.
+
+    Products are delegated to scipy's kernels and are bit-stable on a given
+    platform: output entry ``i`` of ``A @ x`` is accumulated from 0 over
+    the nonzeros of row ``i`` in increasing column order, whether the matrix
+    is held row-major (one running sum per row) or column-major (a scatter
+    over the columns in order), and likewise for ``A.T @ y`` over the rows
+    of each column.  So a column slice gives bitwise the same products as
+    the same columns built through the constructor.
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        if self.n_rows < 0 or self.n_cols < 0:
+        n_rows, n_cols = int(n_rows), int(n_cols)
+        if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._validate()
-        self._csr = sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
+        offs = _index_array(row_offsets)
+        cols = _index_array(col_indices)
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        self._validate(n_rows, n_cols, offs, cols, vals)
+        self._matrix = sp.csr_matrix((vals, cols, offs), shape=(n_rows, n_cols))
 
-    def _validate(self) -> None:
-        offs, cols, vals = self.row_offsets, self.col_indices, self.values
-        if offs.shape != (self.n_rows + 1,):
+    @staticmethod
+    def _validate(n_rows, n_cols, offs, cols, vals) -> None:
+        if offs.shape != (n_rows + 1,):
             raise ValueError(
-                f"row_offsets must have length n_rows+1={self.n_rows + 1}, "
+                f"row_offsets must have length n_rows+1={n_rows + 1}, "
                 f"got {offs.shape[0]}"
             )
         if offs[0] != 0 or np.any(np.diff(offs) < 0):
@@ -86,10 +123,8 @@ class SparseMatrix:
                 f"{cols.shape[0]} column indices, {vals.shape[0]} values"
             )
         if cols.size:
-            if cols.min() < 0 or cols.max() >= self.n_cols:
-                raise ValueError(
-                    f"column index out of range [0, {self.n_cols})"
-                )
+            if cols.min() < 0 or cols.max() >= n_cols:
+                raise ValueError(f"column index out of range [0, {n_cols})")
             # strictly increasing within each row: diffs may only be <= 0 at
             # positions where a new row starts
             bad = np.flatnonzero(np.diff(cols) <= 0) + 1
@@ -99,13 +134,41 @@ class SparseMatrix:
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix values contain non-finite entries")
 
+    @cached_property
+    def _csc(self):
+        return self._matrix.tocsc()
+
+    @cached_property
+    def _transpose(self):
+        return self._matrix.T
+
     @property
-    def nnz(self) -> int:
-        return int(self.values.shape[0])
+    def n_rows(self) -> int:
+        return self._matrix.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self._matrix.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
+        return self._matrix.shape
+
+    @property
+    def nnz(self) -> int:
+        return self._matrix.nnz
+
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return _read_only(self._matrix.tocsr().indptr)
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return _read_only(self._matrix.tocsr().indices)
+
+    @property
+    def values(self) -> np.ndarray:
+        return _read_only(self._matrix.tocsr().data)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMatrix":
@@ -117,14 +180,15 @@ class SparseMatrix:
         return cls(a.shape[0], a.shape[1], csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self._matrix.toarray()
 
     def column_submatrix(self, indices) -> "SparseMatrix":
         """Restrict to the given columns (reduced-space products)."""
         idx = as_index_set(indices, self.n_cols)
-        sub = self._csr[:, idx].tocsr()
-        sub.sort_indices()
-        return SparseMatrix(self.n_rows, idx.size, sub.indptr, sub.indices, sub.data)
+        # unchecked: a column slice of a validated matrix keeps its invariants
+        sub = SparseMatrix.__new__(SparseMatrix)
+        sub._matrix = self._csc[:, idx]
+        return sub
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
@@ -137,7 +201,7 @@ def spmv(matrix: SparseMatrix, x) -> np.ndarray:
         raise ValueError(
             f"matrix has {matrix.n_cols} columns but vector has length {v.shape[0]}"
         )
-    return matrix._csr @ v
+    return matrix._matrix @ v
 
 
 def spmv_transpose(matrix: SparseMatrix, x) -> np.ndarray:
@@ -147,4 +211,4 @@ def spmv_transpose(matrix: SparseMatrix, x) -> np.ndarray:
         raise ValueError(
             f"matrix has {matrix.n_rows} rows but vector has length {v.shape[0]}"
         )
-    return matrix._csr.T @ v
+    return matrix._transpose @ v

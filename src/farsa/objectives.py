@@ -6,6 +6,14 @@ fixed diagonal shift (1e-8 by default) keeps the reduced system positive
 definite.  The shift lives here, inside the oracle, so the quadratic model
 used for direction acceptance is built from exactly the same operator that
 the CG solver sees.
+
+The logistic oracle applies ``A_I^T (w * (A_I v)) + shift*v``, where
+``A_I`` holds the columns ``I`` of the design matrix and ``w`` the
+per-sample curvature at ``x``.  Each operator setup slices ``A_I`` once;
+the slices come from a column-major copy of the design matrix that its
+first setup builds and later setups reuse, and each slice keeps the
+transposed view its first product creates.  Value, gradient and operator
+call ``spmv``/``spmv_transpose`` through this module's names.
 """
 
 from __future__ import annotations

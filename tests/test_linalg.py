@@ -93,3 +93,93 @@ def test_vectors_must_be_finite():
     a = SparseMatrix.from_dense([[1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         spmv(a, [np.nan])
+
+
+def _dense_with_empty_rows(rng, m, n):
+    dense = random_sparse_dense(rng, m, n, density=0.3)
+    dense[rng.random(m) < 0.3] = 0.0
+    dense[0] = 0.0
+    return dense
+
+
+def _index_sets(rng, n):
+    return [
+        np.array([], dtype=np.int64),
+        np.array([n // 2]),
+        np.arange(n),
+        np.flatnonzero(rng.random(n) < 0.5),
+    ]
+
+
+def test_column_submatrix_matches_dense_slice():
+    rng = np.random.default_rng(10)
+    for m, n in [(12, 9), (1, 5), (30, 17)]:
+        dense = _dense_with_empty_rows(rng, m, n)
+        a = SparseMatrix.from_dense(dense)
+        for idx in _index_sets(rng, n):
+            sub = a.column_submatrix(idx)
+            assert sub.shape == (m, idx.size)
+            assert np.array_equal(sub.to_dense(), dense[:, idx])
+            # the slice is built unchecked; its CSR arrays must pass the checks
+            rebuilt = SparseMatrix(m, idx.size, sub.row_offsets, sub.col_indices, sub.values)
+            assert rebuilt.nnz == sub.nnz
+            assert np.array_equal(rebuilt.to_dense(), dense[:, idx])
+
+
+def test_column_submatrix_products_bitwise_equal_to_built_matrix():
+    # a slice multiplies in column-major form, a built matrix in row-major
+    # form; both sum each output entry in the same order
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        m, n = rng.integers(1, 40, size=2)
+        dense = _dense_with_empty_rows(rng, m, n)
+        a = SparseMatrix.from_dense(dense)
+        for idx in _index_sets(rng, n):
+            sub = a.column_submatrix(idx)
+            built = SparseMatrix.from_dense(dense[:, idx])
+            v = rng.normal(size=idx.size)
+            y = rng.normal(size=m)
+            assert np.array_equal(spmv(sub, v), spmv(built, v))
+            assert np.array_equal(spmv_transpose(sub, y), spmv_transpose(built, y))
+
+
+def test_products_and_slices_unchanged_by_cached_forms():
+    rng = np.random.default_rng(12)
+    dense = _dense_with_empty_rows(rng, 25, 14)
+    y = rng.normal(size=25)
+    idx = np.flatnonzero(rng.random(14) < 0.5)
+    v = rng.normal(size=idx.size)
+
+    first = SparseMatrix.from_dense(dense)
+    transposed = spmv_transpose(first, y)
+    sub = first.column_submatrix(idx)
+    sub_products = (spmv(sub, v), spmv_transpose(sub, y))
+
+    second = SparseMatrix.from_dense(dense)
+    for _ in range(2):
+        sub = second.column_submatrix(idx)
+        assert np.array_equal(spmv(sub, v), sub_products[0])
+        assert np.array_equal(spmv_transpose(sub, y), sub_products[1])
+        assert np.array_equal(spmv_transpose(second, y), transposed)
+        assert np.array_equal(sub.column_submatrix(np.arange(idx.size)).to_dense(), dense[:, idx])
+
+
+def test_int32_inputs_are_shared_not_copied():
+    indptr = np.array([0, 2, 2, 3], dtype=np.int32)
+    indices = np.array([0, 2, 1], dtype=np.int32)
+    data = np.array([1.0, -2.0, 3.0])
+    a = SparseMatrix(3, 3, indptr, indices, data)
+    assert np.shares_memory(a.row_offsets, indptr)
+    assert np.shares_memory(a.col_indices, indices)
+    assert np.shares_memory(a.values, data)
+    assert a.col_indices.dtype == np.int32
+
+
+def test_matrix_arrays_are_read_only_views():
+    a = SparseMatrix(2, 3, [0, 1, 3], [1, 0, 2], [4.0, 5.0, 6.0])
+    for array in (a.row_offsets, a.col_indices, a.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert a.row_offsets.tolist() == [0, 1, 3]
+    assert a.col_indices.tolist() == [1, 0, 2]
+    assert a.values.tolist() == [4.0, 5.0, 6.0]

@@ -1,13 +1,14 @@
 """Objective oracles against finite differences and closed forms."""
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import LogisticObjective, QuadraticObjective, SparseMatrix
+from farsa import LogisticObjective, QuadraticObjective, SparseMatrix, objectives
 from reference import fd_gradient, fd_hessian, logistic_value_naive, random_sparse_dense
 
 
@@ -116,6 +117,35 @@ class TestReducedHessian:
         for _ in range(20):
             v = rng.normal(size=6)
             assert v @ apply(v) >= 1e-8 * (v @ v) - 1e-12
+
+    def test_products_go_through_the_patchable_names(self, monkeypatch):
+        # the benchmark's tracer times the reduced-space layers by patching
+        # exactly these names; a rewrite that bypasses them goes untraced
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("spmv", "spmv_transpose"):
+            monkeypatch.setattr(objectives, name, counting(name, getattr(objectives, name)))
+        monkeypatch.setattr(
+            SparseMatrix,
+            "column_submatrix",
+            counting("column_submatrix", SparseMatrix.column_submatrix),
+        )
+        rng = np.random.default_rng(8)
+        obj, _, _ = random_logistic(rng, 12, 6)
+        apply = obj.reduced_hessian_operator(rng.normal(size=6), np.array([1, 3, 4]))
+        assert calls["column_submatrix"] == 1
+        after_setup = calls.copy()
+        apply(rng.normal(size=3))
+        assert calls["spmv"] > after_setup["spmv"]
+        assert calls["spmv_transpose"] > after_setup["spmv_transpose"]
+        assert calls["column_submatrix"] == 1
 
     def test_quadratic_reduced_hessian_is_shifted_diagonal(self):
         obj = QuadraticObjective([2.0, 3.0, 4.0], [0.0, 0.0, 0.0])
