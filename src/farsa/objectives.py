@@ -14,6 +14,12 @@ the slices come from a column-major copy of the design matrix that its
 first setup builds and later setups reuse, and each slice keeps the
 transposed view its first product creates.  Value, gradient and operator
 call ``spmv``/``spmv_transpose`` through this module's names.
+
+The margins ``y*(A@x)`` feed all three, and a solver asks for them at the
+same point several times: the line search's value at the point it accepts,
+then the next gradient and the next operator setup.  So the logistic oracle
+keeps the margins of the last point it computed them at, and a call at an
+equal point costs an O(n) comparison instead of an O(nnz) product.
 """
 
 from __future__ import annotations
@@ -72,6 +78,14 @@ class LogisticObjective(ObjectiveOracle):
     with rows a_i of the design matrix and labels y_i in {-1, +1}.  Each term
     is evaluated as log(1+exp(-t)) for t >= 0 and -t + log(1+exp(t))
     otherwise, so large margins cannot overflow.
+
+    The oracle remembers one entry: a private copy of the last ``x`` whose
+    margins it computed, and those margins.  It matches by value, not by
+    identity, so a caller may mutate its arrays in place.  The memo costs
+    one n-vector and one m-vector per oracle and is never handed to a
+    caller.  A hit reuses what the same product gave, so results are
+    bitwise those of a fresh oracle; ``-0.0`` and ``0.0`` entries compare
+    equal and also give bitwise the same product.
     """
 
     def __init__(self, matrix: SparseMatrix, labels):
@@ -86,6 +100,8 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError("labels must all be -1 or +1")
         self.matrix = matrix
         self.labels = y
+        self._memo_x: np.ndarray | None = None
+        self._memo_margins: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -96,7 +112,12 @@ class LogisticObjective(ObjectiveOracle):
         return self.matrix.n_rows
 
     def _margins(self, x) -> np.ndarray:
-        return self.labels * spmv(self.matrix, x)
+        if self._memo_x is not None and np.array_equal(x, self._memo_x):
+            return self._memo_margins
+        t = self.labels * spmv(self.matrix, x)
+        self._memo_x = np.array(x, dtype=np.float64)
+        self._memo_margins = t
+        return t
 
     def value(self, x) -> float:
         t = self._margins(x)

@@ -83,7 +83,8 @@ def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> Optimali
 
 
 def is_optimal(pair: OptimalityPair, epsilon: float) -> bool:
-    """Termination test: max{||beta||, ||phi||} <= epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """Termination test: max{||beta||, ||phi||} <= epsilon.
+
+    ``SolverConfig`` and ``IstaConfig`` check that epsilon is positive.
+    """
     return pair.max_norm <= epsilon

@@ -11,6 +11,7 @@ early-termination rules below bound the work and the step size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -70,11 +71,10 @@ class CgOutcome:
     stop_reason: CgStopReason
 
 
-def _orthant_violations(x_restricted: np.ndarray, d: np.ndarray) -> int:
+def _orthant_violations(x_restricted: np.ndarray, x_signs: np.ndarray, d: np.ndarray) -> int:
     """Count components of x+d whose sign is opposite to x (exact zero is fine)."""
     s_new = np.sign(x_restricted + d)
-    s_old = np.sign(x_restricted)
-    return int(np.count_nonzero((s_new != 0.0) & (s_new != s_old)))
+    return int(np.count_nonzero((s_new != 0.0) & (s_new != x_signs)))
 
 
 def cg_solve(
@@ -87,15 +87,19 @@ def cg_solve(
     iterate norms grow monotonically from d = 0, the step-norm rule acts as
     an implicit trust region.  Exhausting the iteration cap returns
     MAX_ITERATIONS with the last iterate.
+
+    Each iteration takes one residual dot product r @ r for both ||r|| and
+    the next direction.  Norms are sqrt(v @ v), which is what
+    np.linalg.norm computes for a real vector, without its dispatch.
     """
     d = np.zeros(g.shape[0])
     r = -g  # residual b - H d for b = -g
-    r_norm0 = float(np.linalg.norm(r))
-    residual_target = max(limits.residual_reduction * r_norm0, limits.residual_floor)
-
-    r_norm = r_norm0
-    p = r.copy()
     rs_old = float(r @ r)
+    r_norm = math.sqrt(rs_old)
+    residual_target = max(limits.residual_reduction * r_norm, limits.residual_floor)
+
+    x_signs = np.sign(x_restricted)
+    p = r.copy()
     iterations = 0
     for j in range(1, limits.iteration_cap + 1):
         hp = hvp(p)
@@ -111,17 +115,17 @@ def cg_solve(
         alpha = rs_old / curvature
         d = d + alpha * p
         r = r - alpha * hp
-        r_norm = float(np.linalg.norm(r))
-        if not np.isfinite(r_norm):
+        rs_new = float(r @ r)
+        r_norm = math.sqrt(rs_new)
+        if not math.isfinite(r_norm):
             raise ArithmeticError(f"non-finite residual at CG iteration {j}")
         iterations = j
         if r_norm <= residual_target:
             return CgOutcome(d, j, r_norm, CgStopReason.RESIDUAL_REDUCED)
-        if _orthant_violations(x_restricted, d) >= limits.violation_threshold:
+        if _orthant_violations(x_restricted, x_signs, d) >= limits.violation_threshold:
             return CgOutcome(d, j, r_norm, CgStopReason.ORTHANT_VIOLATIONS)
-        if float(np.linalg.norm(d)) >= limits.step_norm_limit:
+        if math.sqrt(float(d @ d)) >= limits.step_norm_limit:
             return CgOutcome(d, j, r_norm, CgStopReason.STEP_TOO_LARGE)
-        rs_new = float(r @ r)
         p = r + (rs_new / rs_old) * p
         rs_old = rs_new
     return CgOutcome(d, iterations, r_norm, CgStopReason.MAX_ITERATIONS)

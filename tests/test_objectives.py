@@ -154,6 +154,72 @@ class TestReducedHessian:
         assert_allclose(out, [2.0 + 1e-8, 4.0 + 1e-8])
 
 
+def oracle_outputs(obj, x, idx, v):
+    """value, gradient and one reduced Hessian product at x."""
+    return obj.value(x), obj.gradient(x), obj.reduced_hessian_operator(x, idx)(v)
+
+
+def assert_bitwise_equal(got, expected):
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2], expected[2])
+
+
+class TestMarginMemo:
+    """One remembered point: hits give bitwise a fresh oracle's results."""
+
+    @staticmethod
+    def problem(seed):
+        rng = np.random.default_rng(seed)
+        dense = random_sparse_dense(rng, 25, 9, density=0.6)
+        labels = np.where(rng.random(25) < 0.5, -1.0, 1.0)
+        matrix = SparseMatrix.from_dense(dense)
+        idx = np.array([0, 2, 5, 8])
+        return rng, lambda: LogisticObjective(matrix, labels), idx
+
+    def test_hits_match_a_fresh_oracle(self):
+        rng, make, idx = self.problem(20)
+        obj = make()
+        x = rng.normal(size=9)
+        v = rng.normal(size=idx.size)
+        obj.value(x)
+        assert_bitwise_equal(oracle_outputs(obj, x.copy(), idx, v), oracle_outputs(make(), x, idx, v))
+
+    def test_in_place_mutation_is_seen(self):
+        rng, make, idx = self.problem(22)
+        obj = make()
+        x = rng.normal(size=9)
+        v = rng.normal(size=idx.size)
+        oracle_outputs(obj, x, idx, v)
+        x[3] += 1.0
+        x[7] = 0.0
+        assert_bitwise_equal(oracle_outputs(obj, x, idx, v), oracle_outputs(make(), x, idx, v))
+
+    def test_signed_zeros_give_equal_results(self):
+        rng, make, idx = self.problem(23)
+        v = rng.normal(size=idx.size)
+        x_pos = np.where(rng.random(9) < 0.5, rng.normal(size=9), 0.0)
+        x_neg = np.where(x_pos == 0.0, -0.0, x_pos)
+        assert np.any(np.signbit(x_neg) & (x_neg == 0.0))
+        obj = make()
+        pos = oracle_outputs(obj, x_pos, idx, v)
+        assert_bitwise_equal(oracle_outputs(obj, x_neg, idx, v), pos)
+        assert_bitwise_equal(oracle_outputs(make(), x_neg, idx, v), pos)
+
+    def test_alternating_points_get_their_own_results(self):
+        rng, make, idx = self.problem(24)
+        v = rng.normal(size=idx.size)
+        a = rng.normal(size=9)
+        b = a.copy()
+        b[4] += 1e-12
+        expected = {0: oracle_outputs(make(), a, idx, v), 1: oracle_outputs(make(), b, idx, v)}
+        assert expected[0][0] != expected[1][0]
+        obj = make()
+        for turn in range(6):
+            point = (a, b)[turn % 2]
+            assert_bitwise_equal(oracle_outputs(obj, point, idx, v), expected[turn % 2])
+
+
 class TestQuadratic:
     def test_value_and_gradient_closed_form(self):
         obj = QuadraticObjective([1.0, 4.0], [-3.0, 2.0])

@@ -78,11 +78,6 @@ class TestIsOptimal:
         pair = OptimalityPair(np.array([1.0]), np.zeros(1), 1.0, 0.0)
         assert is_optimal(pair, 1.0)
 
-    def test_epsilon_must_be_positive(self):
-        pair = OptimalityPair(np.zeros(1), np.zeros(1), 0.0, 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            is_optimal(pair, 0.0)
-
 
 class TestShrinkStep:
     def test_origin_is_fixed_point(self):

@@ -17,6 +17,7 @@ from farsa import (
     optimality_measures,
     solve,
 )
+from farsa import objectives
 from farsa.objectives import ObjectiveOracle
 from farsa.solver import _clamp, beta_iteration, phi_iteration
 from problems import quadratic_l1_minimizer, random_logistic_problem, random_quadratic
@@ -355,7 +356,8 @@ class TestSingleEvaluation:
         report = solve(oracle, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
         # the only repeats are each later search's own F(x) at the point the
-        # previous search accepted
+        # previous search accepted; the oracle kept that point's margins, so
+        # the repeat costs no product with A (TestFullProducts counts them)
         repeats = back_to_back_repeats(points)
         assert len(repeats) == report.iterations - 1
         accepted = [points[i] for i in repeats] + [report.x_final]
@@ -372,3 +374,42 @@ class TestSingleEvaluation:
         assert back_to_back_repeats(points) == []
         fresh = oracle.value(report.x_final) + lam * float(np.sum(np.abs(report.x_final)))
         assert report.objective == fresh
+
+
+def count_full_products(monkeypatch, oracle) -> list:
+    """Count ``A @ x`` products with the oracle's whole design matrix."""
+    count = [0]
+    spmv = objectives.spmv
+
+    def counting(matrix, x):
+        if matrix is oracle.matrix:
+            count[0] += 1
+        return spmv(matrix, x)
+
+    monkeypatch.setattr(objectives, "spmv", counting)
+    return count
+
+
+class TestFullProducts:
+    """The oracle computes the margins y*(A@x) once per distinct point."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_makes_one_product_per_new_point(self, monkeypatch, seed):
+        oracle, lam = random_logistic_problem(np.random.default_rng(seed), 60, 20)
+        points = record_value_points(oracle)
+        products = count_full_products(monkeypatch, oracle)
+        report = solve(oracle, SolverConfig(lam=lam))
+        assert report.status is SolveStatus.OPTIMAL
+        # one at x0 for the first gradient, then one per trial point; each
+        # search's F(x), the next gradient and the next Hessian setup reuse
+        # the margins of the point the previous search accepted
+        assert products[0] == 1 + (len(points) - report.iterations)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ista_makes_one_product_per_value_call(self, monkeypatch, seed):
+        oracle, lam = random_logistic_problem(np.random.default_rng(seed), 60, 20)
+        points = record_value_points(oracle)
+        products = count_full_products(monkeypatch, oracle)
+        report = ista_solve(oracle, lam, IstaConfig())
+        assert report.status is SolveStatus.OPTIMAL
+        assert products[0] == len(points)
