@@ -13,7 +13,6 @@ from .datasets import (
     load_dataset,
     parse_libsvm,
     relabel_binary_mnist,
-    scale_max_abs,
     scale_minus1_1,
     scale_pixels,
     write_libsvm,
@@ -75,7 +74,6 @@ __all__ = [
     "parse_libsvm",
     "project_orthant",
     "relabel_binary_mnist",
-    "scale_max_abs",
     "scale_minus1_1",
     "scale_pixels",
     "shrink",

@@ -1,9 +1,11 @@
 """LIBSVM-format ingestion, label normalization, and feature scalings.
 
-Parsing is streaming: the file is read line by line into growable flat
-arrays, so peak memory is proportional to the number of stored entries plus
-the number of rows, never to rows*columns.  Column indices in files are
-1-based; in memory everything is 0-based.
+Parsing is block-wise: lines are gathered into blocks of about 64 KB of
+text, and each block is split, converted and checked with whole-array
+operations, then appended to growable flat arrays.  Peak memory is
+proportional to the number of stored entries plus one block, never to
+rows*columns, and ``.gz`` input is read as a stream.  Column indices in
+files are 1-based; in memory everything is 0-based.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import gzip
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from os import PathLike
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,10 +29,16 @@ __all__ = [
     "load_dataset",
     "write_libsvm",
     "scale_minus1_1",
-    "scale_max_abs",
     "scale_pixels",
     "relabel_binary_mnist",
 ]
+
+# Characters of text parsed per block: large enough that per-block overhead
+# is small, small enough that a block's tokens stay a few hundred KB.
+_BLOCK_CHARS = 1 << 16
+_COLON, _SPACE = ord(":"), ord(" ")
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class DatasetFormatError(ValueError):
@@ -60,15 +69,133 @@ class Dataset:
         return self.matrix.n_cols
 
 
-def _normalize_label(raw: float, line_no: int) -> float:
-    # "+1"/"1" -> +1; "-1"/"0" -> -1 (0/1-labeled files)
-    if raw == 1.0:
-        return 1.0
-    if raw == -1.0 or raw == 0.0:
-        return -1.0
-    raise DatasetFormatError(
-        f"line {line_no}: unknown label {raw!r} (expected +1, 1, -1, or 0)"
+def _blocks(source: Iterable[str]) -> Iterator[list[str]]:
+    """Group lines into lists of at most ``_BLOCK_CHARS`` characters.
+
+    A line longer than that is a list of its own.
+    """
+    block: list[str] = []
+    size = 0
+    for line in source:
+        if block and size + len(line) > _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+        block.append(line)
+        size += len(line)
+    if block:
+        yield block
+
+
+def _one_colon_each(features: str) -> bool:
+    """Whether every space-separated token of ``features`` holds exactly one colon.
+
+    With as many colons as tokens, that holds when colon ``i`` falls
+    between spaces ``i-1`` and ``i``.  In UTF-8 the bytes of " " and ":"
+    occur only as those characters.
+    """
+    text = np.frombuffer(features.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    colons = np.flatnonzero(text == _COLON)
+    spaces = np.flatnonzero(text == _SPACE)
+    return bool(
+        colons.size == spaces.size + 1
+        and np.all(colons[:-1] < spaces)
+        and np.all(spaces < colons[1:])
     )
+
+
+def _parse_block(lines: list[str], normalize_labels: bool) -> tuple[np.ndarray, ...] | None:
+    """Parse a list of lines with whole-array conversions and checks.
+
+    Returns ``(labels, row_nnz, cols, values)`` with 0-based int64 ``cols``,
+    or None if any line is malformed; blank lines contribute no row.
+    Labels and values convert as ``float()`` does and indices as ``int()``
+    does, so ``1.0:2`` is rejected.
+    """
+    rows = [tokens for tokens in map(str.split, lines) if tokens]
+    features = " ".join(chain.from_iterable([tokens[1:] for tokens in rows]))
+    if features and not _one_colon_each(features):
+        return None
+    # "<idx> <val>" pairs; an empty side stays an empty string, which fails
+    # to convert
+    parts = features.replace(":", " ").split(" ") if features else []
+    try:
+        labels = np.array([tokens[0] for tokens in rows], dtype=np.float64)
+        cols = np.array(parts[0::2], dtype=np.int64)
+        values = np.array(parts[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):  # OverflowError: an index beyond int64
+        return None
+    row_nnz = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) - 1
+    # indices may fail to increase only where a new row starts
+    row_start = np.zeros(cols.size, dtype=bool)
+    row_start[(np.cumsum(row_nnz) - row_nnz)[row_nnz > 0]] = True
+    if normalize_labels:
+        # "+1"/"1" -> +1; "-1"/"0" -> -1 (0/1-labeled files)
+        if not np.all((labels == 1.0) | (labels == -1.0) | (labels == 0.0)):
+            return None
+        labels = np.where(labels == 1.0, 1.0, -1.0)
+    if not (
+        np.all(cols >= 1)
+        and np.all((np.diff(cols) > 0) | row_start[1:])
+        and np.all(np.isfinite(values))
+    ):
+        return None
+    return labels, row_nnz, cols - 1, values
+
+
+def _first_failing(n: int, fails: Callable[[int], bool]) -> int:
+    """Smallest k in [1, n] with ``fails(k)``, for monotone ``fails`` with ``fails(n)``."""
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _block_error(
+    lines: list[str], first_line_no: int, normalize_labels: bool
+) -> DatasetFormatError:
+    """The error for the first malformed line of a block that failed to parse.
+
+    Every check is per line, so a prefix of the block fails exactly when it
+    holds a malformed line, and a prefix of that line's tokens fails exactly
+    when it holds the first bad token.
+    """
+    k = _first_failing(
+        len(lines), lambda k: _parse_block(lines[:k], normalize_labels) is None
+    )
+    tokens = lines[k - 1].split()
+    j = _first_failing(
+        len(tokens),
+        lambda j: _parse_block([" ".join(tokens[:j])], normalize_labels) is None,
+    )
+    return DatasetFormatError(f"line {first_line_no + k - 1}: {_token_error(tokens, j - 1)}")
+
+
+def _token_error(tokens: list[str], j: int) -> str:
+    """What is wrong with ``tokens[j]``, the first bad token of its line."""
+    token = tokens[j]
+    if j == 0:
+        try:
+            raw = float(token)
+        except ValueError:
+            return f"malformed label token {token!r}"
+        return f"unknown label {raw!r} (expected +1, 1, -1, or 0)"
+    idx_text, _, val_text = token.partition(":")
+    try:
+        col = int(idx_text)
+        float(val_text)
+    except ValueError:
+        return f"malformed feature token {token!r}"
+    if col < 1:
+        return f"feature index {col} is not 1-based"
+    if col > _INT64_MAX:
+        return f"feature index {col} is too large"
+    if j > 1 and col <= int(tokens[j - 1].partition(":")[0]):
+        return f"feature indices not strictly increasing at {token!r}"
+    return f"non-finite feature value in {token!r}"
 
 
 def parse_libsvm(
@@ -84,55 +211,36 @@ def parse_libsvm(
     ``n_features`` forces a wider matrix (for files whose trailing features
     are all zero).  With ``normalize_labels=False`` raw numeric labels are
     kept (digit-labeled files need relabeling before use as a Dataset).
+
+    Raises ``DatasetFormatError``, naming the first offending line, for a
+    label or feature token that does not parse, a label other than +1, 1,
+    -1 or 0 (when normalizing), an index below 1 or beyond 64 bits, indices
+    not strictly increasing, and a value that is not finite (``nan``,
+    ``inf``, or one that overflows such as ``1e400``).  It also raises for
+    input without samples and for ``n_features`` below the largest index.
     """
     labels = array("d")
     values = array("d")
-    col_indices = array("q")
+    col_indices = array("i")  # int32 while every index fits
     row_offsets = array("q", [0])
     max_col = -1
+    line_no = 1
 
-    for line_no, line in enumerate(source, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            raw_label = float(tokens[0])
-        except ValueError:
-            raise DatasetFormatError(
-                f"line {line_no}: malformed label token {tokens[0]!r}"
-            ) from None
-        if normalize_labels:
-            labels.append(_normalize_label(raw_label, line_no))
-        else:
-            labels.append(raw_label)
-        prev_col = -1
-        for token in tokens[1:]:
-            idx_text, sep, val_text = token.partition(":")
-            if not sep:
-                raise DatasetFormatError(
-                    f"line {line_no}: malformed feature token {token!r}"
-                )
-            try:
-                col = int(idx_text)
-                val = float(val_text)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {line_no}: malformed feature token {token!r}"
-                ) from None
-            if col < 1:
-                raise DatasetFormatError(
-                    f"line {line_no}: feature index {col} is not 1-based"
-                )
-            col -= 1
-            if col <= prev_col:
-                raise DatasetFormatError(
-                    f"line {line_no}: feature indices not strictly increasing at {token!r}"
-                )
-            prev_col = col
-            col_indices.append(col)
-            values.append(val)
-        max_col = max(max_col, prev_col)
-        row_offsets.append(len(values))
+    for block in _blocks(source):
+        parsed = _parse_block(block, normalize_labels)
+        if parsed is None:
+            raise _block_error(block, line_no, normalize_labels)
+        line_no += len(block)
+        block_labels, row_nnz, cols, block_values = parsed
+        labels.frombytes(block_labels.tobytes())
+        values.frombytes(block_values.tobytes())
+        row_offsets.frombytes((np.cumsum(row_nnz) + row_offsets[-1]).tobytes())
+        if cols.size:
+            max_col = max(max_col, int(cols.max()))
+            if col_indices.typecode == "i" and max_col > _INT32_MAX:
+                widened = np.frombuffer(col_indices, dtype=np.int32).astype(np.int64)
+                col_indices = array("q", widened.tobytes())
+            col_indices.frombytes(cols.astype(col_indices.typecode).tobytes())
 
     n_rows = len(labels)
     if n_rows == 0:
@@ -149,7 +257,7 @@ def parse_libsvm(
         n_rows,
         n_cols,
         np.frombuffer(row_offsets, dtype=np.int64),
-        np.frombuffer(col_indices, dtype=np.int64),
+        np.frombuffer(col_indices, dtype=col_indices.typecode),
         np.frombuffer(values, dtype=np.float64),
     )
     return Dataset(matrix=matrix, labels=np.frombuffer(labels, dtype=np.float64), name=name)
@@ -175,8 +283,9 @@ def load_dataset(
 def write_libsvm(dataset: Dataset, target: str | PathLike | IO[str]) -> None:
     """Serialize a Dataset in LIBSVM text format (1-based indices).
 
-    Values are written with round-trip precision, so parsing the output
-    reproduces the dataset exactly.
+    Labels and values are written in their shortest round-trip form (an
+    integral label without its ".0"), so parsing the output reproduces the
+    dataset exactly.
     """
     if hasattr(target, "write"):
         _write_lines(dataset, target)
@@ -192,8 +301,9 @@ def _write_lines(dataset: Dataset, handle: IO[str]) -> None:
     offsets = m.row_offsets.tolist()
     cols = m.col_indices.tolist()
     values = m.values.tolist()
+    labels = dataset.labels.tolist()
     for i in range(m.n_rows):
-        parts = [f"{dataset.labels[i]:g}"]
+        parts = [repr(labels[i]).removesuffix(".0")]
         parts.extend(
             f"{cols[j] + 1}:{values[j]!r}" for j in range(offsets[i], offsets[i + 1])
         )
@@ -217,21 +327,6 @@ def scale_minus1_1(dataset: Dataset) -> Dataset:
         2.0 * (dense[:, nonconstant] - col_min[nonconstant]) / span[nonconstant] - 1.0
     )
     return replace(dataset, matrix=SparseMatrix.from_dense(scaled), scaled=True)
-
-
-def scale_max_abs(dataset: Dataset) -> Dataset:
-    """Divide every column by its max absolute value (zeros preserved).
-
-    Sparse-preserving alternative for experimentation; NOT the same map as
-    ``scale_minus1_1`` and not what the reported experiments use.
-    """
-    m = dataset.matrix
-    col_scale = np.zeros(m.n_cols)
-    np.maximum.at(col_scale, m.col_indices, np.abs(m.values))
-    col_scale[col_scale == 0.0] = 1.0
-    values = m.values / col_scale[m.col_indices]
-    matrix = SparseMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, values)
-    return replace(dataset, matrix=matrix, scaled=True)
 
 
 def scale_pixels(dataset: Dataset, bits: int) -> Dataset:

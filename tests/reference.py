@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from farsa import DatasetFormatError
+
 
 def dense_matvec(dense, x):
     """Triple-checked row-by-row dense product."""
@@ -158,3 +160,76 @@ def random_measure_triples(rng, n, zero_fraction=0.35):
     g = rng.normal(scale=3.0, size=n)
     lam = float(rng.uniform(0.05, 2.0))
     return x, g, lam
+
+
+def parse_libsvm_scalar(lines, normalize_labels=True):
+    """Token-by-token LIBSVM parse: (labels, row_offsets, col_indices, values, n_cols).
+
+    Raises DatasetFormatError with the first offending line's number and
+    the same message the library gives.
+    """
+    labels, values, col_indices, row_offsets = [], [], [], [0]
+    max_col = -1
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            raw_label = float(tokens[0])
+        except ValueError:
+            raise DatasetFormatError(
+                f"line {line_no}: malformed label token {tokens[0]!r}"
+            ) from None
+        if normalize_labels:
+            if raw_label == 1.0:
+                raw_label = 1.0
+            elif raw_label == -1.0 or raw_label == 0.0:
+                raw_label = -1.0
+            else:
+                raise DatasetFormatError(
+                    f"line {line_no}: unknown label {raw_label!r} (expected +1, 1, -1, or 0)"
+                )
+        labels.append(raw_label)
+        prev_col = -1
+        for token in tokens[1:]:
+            idx_text, sep, val_text = token.partition(":")
+            if not sep:
+                raise DatasetFormatError(
+                    f"line {line_no}: malformed feature token {token!r}"
+                )
+            try:
+                col = int(idx_text)
+                val = float(val_text)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"line {line_no}: malformed feature token {token!r}"
+                ) from None
+            if col < 1:
+                raise DatasetFormatError(
+                    f"line {line_no}: feature index {col} is not 1-based"
+                )
+            if col > 2**63 - 1:
+                raise DatasetFormatError(
+                    f"line {line_no}: feature index {col} is too large"
+                )
+            col -= 1
+            if col <= prev_col:
+                raise DatasetFormatError(
+                    f"line {line_no}: feature indices not strictly increasing at {token!r}"
+                )
+            if not math.isfinite(val):
+                raise DatasetFormatError(
+                    f"line {line_no}: non-finite feature value in {token!r}"
+                )
+            prev_col = col
+            col_indices.append(col)
+            values.append(val)
+        max_col = max(max_col, prev_col)
+        row_offsets.append(len(values))
+    return (
+        np.array(labels, dtype=np.float64),
+        np.array(row_offsets, dtype=np.int64),
+        np.array(col_indices, dtype=np.int64),
+        np.array(values, dtype=np.float64),
+        max_col + 1,
+    )

@@ -125,6 +125,14 @@ class TestSolveCommand:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("bad", ["1:nan", "1:1e400", "99999999999999999999:1"])
+    def test_data_error_exits_one_naming_line(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.libsvm"
+        path.write_text(f"+1 1:1\n-1 {bad}\n")
+        code, out, err = run_cli(capsys, ["solve", "--data", str(path)])
+        assert code == 1
+        assert err.startswith("error: line 2: ")
+
     def test_trace_file_written(self, capsys, small_problem, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code, _, _ = run_cli(

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from reference import parse_libsvm_scalar
 
 from farsa import (
     Dataset,
@@ -15,7 +16,6 @@ from farsa import (
     load_dataset,
     parse_libsvm,
     relabel_binary_mnist,
-    scale_max_abs,
     scale_minus1_1,
     scale_pixels,
     write_libsvm,
@@ -32,6 +32,80 @@ def random_dataset(rng, m=None, n=None, empty_rows=True):
     return Dataset(
         matrix=SparseMatrix.from_dense(dense), labels=labels, name="random"
     )
+
+
+
+# Whitespace that str.split() splits on but that ends no line in a text
+# file or a StringIO, so line numbers agree across every source.
+GAPS = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1f", "\xa0", "\u3000"]
+LABELS = ["+1", "1", "-1", "0", "1.0", "-1.0", "+0", "-0", "0.0"]
+INDEX_FORMS = [str, "+{}".format, "0{}".format]
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _value_text(rng):
+    v = float(rng.normal())
+    forms = [repr(v), f"{v:.4f}", f"{v:.3e}", f"{v:g}", str(int(v * 10))]
+    return _pick(rng, forms + ["-0", ".5", "5.", "+1E-2", "1_0.5"])
+
+
+def random_libsvm_lines(rng, min_chars=200_000, raw_labels=False):
+    """Valid LIBSVM lines (no line ends) totalling more than ``min_chars`` characters."""
+    lines, size = [], 0
+    while size < min_chars:
+        kind = rng.random()
+        if kind < 0.04:
+            line = ""
+        elif kind < 0.08:
+            line = _pick(rng, GAPS) * int(rng.integers(1, 4))
+        else:
+            if raw_labels:
+                label = repr(float(np.round(rng.normal(scale=1e3), int(rng.integers(0, 8)))))
+            else:
+                label = _pick(rng, LABELS)
+            nnz = int(rng.integers(0, 40)) if rng.random() < 0.9 else 0
+            cols = np.sort(rng.choice(5000, size=nnz, replace=False)) + 1
+            tokens = [label] + [f"{_pick(rng, INDEX_FORMS)(c)}:{_value_text(rng)}" for c in cols]
+            gaps = [_pick(rng, GAPS) for _ in range(len(tokens) + 1)]
+            if rng.random() < 0.7:
+                gaps[0] = ""
+            if rng.random() < 0.7:
+                gaps[-1] = ""
+            line = gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+        lines.append(line)
+        size += len(line) + 1
+    return lines
+
+
+def assert_same_parse(ds, ref):
+    labels, offsets, cols, values, n_cols = ref
+    assert ds.matrix.shape == (labels.size, n_cols)
+    assert np.array_equal(ds.labels.view(np.int64), labels.view(np.int64))
+    assert np.array_equal(ds.matrix.row_offsets, offsets)
+    assert np.array_equal(ds.matrix.col_indices, cols)
+    assert np.array_equal(ds.matrix.values.view(np.int64), values.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def long_prefix():
+    return random_libsvm_lines(np.random.default_rng(57))
+
+
+def _sources(lines, tmp_path, crlf, final_newline):
+    """The same lines as a StringIO, a file, a .gz file and a list of lines."""
+    end = "\r\n" if crlf else "\n"
+    text = end.join(lines) + (end if final_newline else "")
+    yield io.StringIO(text)
+    for name, opener in [("plain.libsvm", open), ("packed.libsvm.gz", gzip.open)]:
+        path = tmp_path / name
+        with opener(path, "wt", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        with opener(path, "rt", encoding="utf-8") as handle:
+            yield handle
+    yield list(lines)
 
 
 class TestParse:
@@ -86,6 +160,86 @@ class TestParse:
             parse_libsvm(io.StringIO("+1 5:1\n"), n_features=2)
 
 
+class TestBlockParse:
+    """The block parser against the token-by-token reference, on inputs of several blocks."""
+
+    @pytest.mark.parametrize(
+        "seed, crlf, final_newline, raw_labels",
+        [(58, False, True, False), (59, True, False, False), (60, True, True, True)],
+    )
+    def test_matches_scalar_reference(self, tmp_path, seed, crlf, final_newline, raw_labels):
+        lines = random_libsvm_lines(np.random.default_rng(seed), raw_labels=raw_labels)
+        ref = parse_libsvm_scalar(lines, normalize_labels=not raw_labels)
+        assert ref[0].size > 500 and ref[3].size > 5_000
+        for source in _sources(lines, tmp_path, crlf, final_newline):
+            assert_same_parse(parse_libsvm(source, normalize_labels=not raw_labels), ref)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "-1 2:oops",
+            "+1 1=3",
+            "yes 1:1",
+            "+1 2:1 2:2",
+            "+1 3:1 2:2",
+            "3 1:1",
+            "nan 1:1",
+            "+1 0:1",
+            "+1 -7:1",
+            "+1 1:2:3",
+            "+1 1:",
+            "+1 :5",
+            "+1 1:2:3 4",
+            "+1 1: 7 2:3",
+            "+1 1.0:2",
+            "+1 1e0:2",
+            "+1:3 5",
+            "1:2",
+            "+1 4:1 7:nan",
+            "+1 1:1e400",
+            "+1 1:-inf",
+            "+1 99999999999999999999:1",
+            "+1 -99999999999999999999:1",
+            "-1 1:1 3:0.5 9:x 2:nan",
+        ],
+    )
+    def test_error_table(self, long_prefix, bad):
+        lines = long_prefix + [bad]
+        with pytest.raises(DatasetFormatError) as expected:
+            parse_libsvm_scalar(lines)
+        assert str(expected.value).startswith(f"line {len(lines)}: ")
+        with pytest.raises(DatasetFormatError) as raised:
+            parse_libsvm(io.StringIO("\n".join(lines)))
+        assert str(raised.value) == str(expected.value)
+
+    def test_first_bad_line_reported(self, long_prefix):
+        lines = long_prefix[:50] + ["+1 2:1 1:1", "+1 1:1", "yes 1:1"] + long_prefix
+        with pytest.raises(DatasetFormatError, match="^line 51: feature indices not strictly"):
+            parse_libsvm(lines)
+
+    def test_short_lines_memory_bound(self, tmp_path):
+        # tall-shaped: many short rows, so per-row costs show; the bound is
+        # 32 bytes per stored entry plus 4 MB
+        rng = np.random.default_rng(61)
+        n_rows, per_row = 50_000, 8
+        path = tmp_path / "tall.libsvm"
+        # one index in each 250-wide band keeps a row's indices increasing
+        cols = 250 * np.arange(per_row) + rng.integers(1, 251, size=(n_rows, per_row))
+        values = rng.normal(size=cols.shape).tolist()
+        path.write_text(
+            "".join(
+                "-1 " + " ".join(f"{c}:{v:.4f}" for c, v in zip(row_cols, row_values)) + "\n"
+                for row_cols, row_values in zip(cols.tolist(), values)
+            )
+        )
+        tracemalloc.start()
+        ds = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert ds.matrix.nnz == n_rows * per_row
+        assert peak <= 32 * ds.matrix.nnz + 4 * 1024 * 1024, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
         rng = np.random.default_rng(50)
@@ -107,6 +261,19 @@ class TestRoundTrip:
         write_libsvm(ds, buffer)
         back = parse_libsvm(io.StringIO(buffer.getvalue()))
         assert np.array_equal(back.matrix.values, ds.matrix.values)
+
+    def test_raw_labels_round_trip(self):
+        text = "1234567 1:1\n0.1234567 2:0.5\n-2.5e-300\n"
+        ds = parse_libsvm(io.StringIO(text), normalize_labels=False)
+        buffer = io.StringIO()
+        write_libsvm(ds, buffer)
+        back = parse_libsvm(io.StringIO(buffer.getvalue()), normalize_labels=False)
+        assert back.labels.tolist() == [1234567.0, 0.1234567, -2.5e-300]
+
+    def test_plus_minus_one_labels_written_as_integers(self):
+        buffer = io.StringIO()
+        write_libsvm(parse_libsvm(io.StringIO("+1 1:0.5\n-1 2:1\n0\n")), buffer)
+        assert buffer.getvalue() == "1 1:0.5\n-1 2:1.0\n-1\n"
 
     def test_gzip_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -179,13 +346,6 @@ class TestScaling:
         assert_allclose(
             twice.matrix.to_dense(), once.matrix.to_dense(), atol=1e-15
         )
-
-    def test_max_abs_preserves_sparsity(self):
-        rng = np.random.default_rng(55)
-        ds = random_dataset(rng, m=10, n=4)
-        scaled = scale_max_abs(ds)
-        assert scaled.matrix.nnz == ds.matrix.nnz
-        assert np.abs(scaled.matrix.values).max() <= 1.0
 
 
 class TestPixels:
