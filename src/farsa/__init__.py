@@ -35,15 +35,13 @@ from .solver import (
     SolveReport,
     SolveStatus,
     SolverConfig,
-    SolverState,
     solve,
 )
-from .subproblem import CgLimits, CgOutcome, CgStopReason, cg_solve
+from .subproblem import CgOutcome, CgStopReason, cg_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CgLimits",
     "CgOutcome",
     "CgStopReason",
     "Dataset",
@@ -61,7 +59,6 @@ __all__ = [
     "SolveReport",
     "SolveStatus",
     "SolverConfig",
-    "SolverState",
     "SparseMatrix",
     "cg_solve",
     "is_optimal",

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 import time
+from enum import Enum
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .datasets import (
 )
 from .ista import IstaConfig, ista_solve
 from .objectives import LogisticObjective
-from .solver import SolveReport, SolverConfig, SolveStatus, solve
+from .solver import IterationRecord, SolveReport, SolverConfig, SolveStatus, solve
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -49,10 +51,21 @@ def _positive_int(text: str) -> int:
 
 
 def _epsilon(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: not a number") from None
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError("epsilon must be positive and finite")
     return value
+
+
+def _tolerances(text: str) -> list[float]:
+    """A comma-separated list of epsilons; empty entries are skipped."""
+    tolerances = [_epsilon(t) for t in (s.strip() for s in text.split(",")) if t]
+    if not tolerances:
+        raise argparse.ArgumentTypeError("empty tolerance list")
+    return tolerances
 
 
 def _scale_mode(text: str) -> str:
@@ -78,7 +91,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-iter", type=_positive_int, default=1000)
     parser.add_argument(
-        "--time-limit", type=_positive_float, default=600.0, metavar="SECONDS"
+        "--time-limit",
+        type=_positive_float,
+        default=600.0,
+        metavar="SECONDS",
+        help="wall-time budget of each farsa solve (ignored by --solver ista)",
     )
     parser.add_argument(
         "--scale",
@@ -123,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(p_sweep)
     p_sweep.add_argument(
         "--tolerances",
+        type=_tolerances,
         default=DEFAULT_TOLERANCES,
         help="comma-separated list of termination tolerances",
     )
@@ -184,33 +202,11 @@ def _report_dict(
 def _write_trace(path: str, report: SolveReport) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "k",
-                "type",
-                "objective",
-                "beta_norm",
-                "phi_norm",
-                "support_size",
-                "cg_iterations",
-                "step_size",
-                "elapsed",
-            ]
-        )
-        for r in report.trace:
-            writer.writerow(
-                [
-                    r.k,
-                    r.type.value,
-                    repr(r.objective),
-                    repr(r.beta_norm),
-                    repr(r.phi_norm),
-                    r.support_size,
-                    r.cg_iterations,
-                    repr(r.step_size),
-                    repr(r.elapsed),
-                ]
-            )
+        names = [f.name for f in dataclasses.fields(IterationRecord)]
+        writer.writerow(names)
+        for record in report.trace:
+            values = (getattr(record, name) for name in names)
+            writer.writerow(v.value if isinstance(v, Enum) else repr(v) for v in values)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -259,17 +255,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    text = args.tolerances.strip()
-    tolerances = [t for t in (s.strip() for s in text.split(",")) if t]
-    if not tolerances:
-        raise UsageError("empty tolerance list")
-    try:
-        eps_values = [float(t) for t in tolerances]
-    except ValueError as exc:
-        raise UsageError(f"bad tolerance: {exc}") from None
-    if not all(0 < e < math.inf for e in eps_values):
-        raise UsageError("epsilon must be positive and finite")
-
     dataset = _load(args)
     lam = args.lam if args.lam is not None else 1.0 / dataset.n_samples
     oracle = LogisticObjective(dataset.matrix, dataset.labels)
@@ -279,7 +264,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ["tolerance", "time_seconds", "iterations", "objective", "percent_zeros"]
     )
     failed = False
-    for eps in eps_values:
+    for eps in args.tolerances:
         start = time.perf_counter()
         report = _run_solver(args, oracle, lam, eps)
         elapsed = time.perf_counter() - start
@@ -297,17 +282,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 2 if failed else 0
 
 
-class UsageError(Exception):
-    pass
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        parser.error(str(exc))  # exits with status 2
     except (OSError, DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -52,7 +52,6 @@ class Dataset:
     matrix: SparseMatrix
     labels: np.ndarray
     name: str = ""
-    scaled: bool = False
 
     def __post_init__(self):
         if self.labels.shape != (self.matrix.n_rows,):
@@ -326,7 +325,7 @@ def scale_minus1_1(dataset: Dataset) -> Dataset:
     scaled[:, nonconstant] = (
         2.0 * (dense[:, nonconstant] - col_min[nonconstant]) / span[nonconstant] - 1.0
     )
-    return replace(dataset, matrix=SparseMatrix.from_dense(scaled), scaled=True)
+    return replace(dataset, matrix=SparseMatrix.from_dense(scaled))
 
 
 def scale_pixels(dataset: Dataset, bits: int) -> Dataset:
@@ -349,7 +348,7 @@ def scale_pixels(dataset: Dataset, bits: int) -> Dataset:
     matrix = SparseMatrix(
         m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values / float(2**bits)
     )
-    return replace(dataset, matrix=matrix, scaled=True)
+    return replace(dataset, matrix=matrix)
 
 
 def relabel_binary_mnist(labels) -> np.ndarray:

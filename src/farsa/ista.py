@@ -100,7 +100,6 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
         status=status,
         x_final=x,
         objective=objective,
-        percent_zeros=100.0 * float(np.count_nonzero(x == 0.0)) / n,
         trace=[],
         total_time=perf_counter() - started,
         iterations=k,

@@ -2,10 +2,10 @@
 
 The solver never materializes a Hessian.  Each oracle exposes the product
 ``v -> [H(x)]_{I,I} v + shift*v`` on a chosen index set ``I``, where the
-fixed diagonal shift (1e-8 by default) keeps the reduced system positive
-definite.  The shift lives here, inside the oracle, so the quadratic model
-used for direction acceptance is built from exactly the same operator that
-the CG solver sees.
+fixed diagonal shift ``HESSIAN_SHIFT`` (1e-8) keeps the reduced system
+positive definite.  The shift lives here, inside the oracle, so the
+quadratic model used for direction acceptance is built from exactly the
+same operator that the CG solver sees.
 
 The logistic oracle applies ``A_I^T (w * (A_I v)) + shift*v``, where
 ``A_I`` holds the columns ``I`` of the design matrix and ``w`` the
@@ -36,16 +36,14 @@ __all__ = [
     "ObjectiveOracle",
     "LogisticObjective",
     "QuadraticObjective",
-    "DEFAULT_HESSIAN_SHIFT",
+    "HESSIAN_SHIFT",
 ]
 
-DEFAULT_HESSIAN_SHIFT = 1e-8
+HESSIAN_SHIFT = 1e-8
 
 
 class ObjectiveOracle(ABC):
     """Twice-differentiable convex objective with reduced Hessian products."""
-
-    hessian_shift: float = DEFAULT_HESSIAN_SHIFT
 
     @property
     @abstractmethod
@@ -132,10 +130,9 @@ class LogisticObjective(ObjectiveOracle):
         sig = expit(t)
         weights = sig * (1.0 - sig)
         sub = self.matrix.column_submatrix(indices)
-        shift = self.hessian_shift
 
         def apply(v: np.ndarray) -> np.ndarray:
-            return spmv_transpose(sub, weights * spmv(sub, v)) + shift * v
+            return spmv_transpose(sub, weights * spmv(sub, v)) + HESSIAN_SHIFT * v
 
         return apply
 
@@ -168,7 +165,7 @@ class QuadraticObjective(ObjectiveOracle):
         return self.diag * v + self.linear
 
     def reduced_hessian_operator(self, x, indices):
-        d_reduced = self.diag[indices] + self.hessian_shift
+        d_reduced = self.diag[indices] + HESSIAN_SHIFT
 
         def apply(v: np.ndarray) -> np.ndarray:
             return d_reduced * v

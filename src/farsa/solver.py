@@ -1,25 +1,30 @@
 """Outer loop of the reduced-space active-set solver.
 
-Each iteration computes the optimality measures beta and phi and terminates
-once max{||beta||, ||phi||} <= epsilon.  Otherwise it either optimizes over
-the current support (phi-iteration: reduced Newton-CG plus the projected
-line search) when ||beta|| <= ||phi|| (the paper's gamma fixed at 1), or
-frees zero variables (beta-iteration: safeguarded scaled direction plus
-Armijo backtracking).  Each record's objective, and the report's, is the
-value the line search computed at the point it accepted; F is evaluated
-afresh only for a solve that takes no iteration.
+``solve`` is the paper's one loop.  Each iteration computes the optimality
+measures beta and phi and terminates once max{||beta||, ||phi||} <= epsilon.
+Otherwise it takes one of two branches: when ||beta|| <= ||phi|| (the
+paper's gamma fixed at 1) a phi-iteration optimizes over the support of phi
+with reduced Newton-CG and the projected line search; else a beta-iteration
+frees zero variables along a safeguarded scaled direction with Armijo
+backtracking.  Both branches end the same way: the step norm, the new
+iterate and one ``IterationRecord``.  Each record's objective, and the
+report's, is the value the line search computed at the point it accepted;
+F is evaluated afresh only for a solve that takes no iteration.
 
 The adaptive scale factors are built from the norm of the most recent step
 of the same type: the CG step cap is max{1e-3, min{1e3, 10*prev}} and the
-freeing-direction length is max{1e-5, min{1, prev}}, with an absent previous
-norm treated as +inf so the first step of each type is not truncated.
+freeing-direction length is max{1e-5, min{1, prev}}, with both previous
+norms starting at +inf so the first step of each type is not truncated.
+
+``cg_solve``, the two line searches and ``optimality_measures`` are called
+through this module's names, which is where a tracer can wrap them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -28,19 +33,16 @@ import numpy as np
 from .linalg import as_vector
 from .linesearch import LineSearchError, PhiOutcome, linesearch_beta, linesearch_phi
 from .objectives import ObjectiveOracle
-from .optimality import OptimalityPair, is_optimal, optimality_measures
-from .subproblem import CgLimits, cg_solve
+from .optimality import is_optimal, optimality_measures
+from .subproblem import cg_solve
 
 __all__ = [
     "SolverConfig",
-    "SolverState",
     "IterationType",
     "IterationRecord",
     "SolveStatus",
     "SolveReport",
     "solve",
-    "phi_iteration",
-    "beta_iteration",
 ]
 
 
@@ -68,20 +70,6 @@ class SolverConfig:
         # inf means no limit; NaN would never stop the solve for time
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-
-
-@dataclass
-class SolverState:
-    """Mutable per-solve state: iterate, counters, and last step norms."""
-
-    x: np.ndarray
-    k: int = 0
-    last_phi_step_norm: float | None = None
-    last_beta_step_norm: float | None = None
-    started_at: float = field(default_factory=time.perf_counter)
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.started_at
 
 
 class IterationType(Enum):
@@ -115,10 +103,13 @@ class SolveReport:
     status: SolveStatus
     x_final: np.ndarray
     objective: float
-    percent_zeros: float
     trace: list[IterationRecord]
     total_time: float
     iterations: int
+
+    @property
+    def percent_zeros(self) -> float:
+        return 100.0 * float(np.count_nonzero(self.x_final == 0.0)) / self.x_final.size
 
     @property
     def phi_iterations(self) -> int:
@@ -135,82 +126,8 @@ def _total_objective(oracle: ObjectiveOracle, lam: float, x: np.ndarray) -> floa
     return oracle.value(x) + lam * float(np.sum(np.abs(x)))
 
 
-def _clamp(value: float | None, lower: float, upper: float, scale: float = 1.0) -> float:
-    if value is None:
-        return upper
+def _clamp(value: float, lower: float, upper: float, scale: float = 1.0) -> float:
     return max(lower, min(upper, scale * value))
-
-
-def phi_iteration(
-    state: SolverState,
-    oracle: ObjectiveOracle,
-    config: SolverConfig,
-    grad: np.ndarray,
-    pair: OptimalityPair,
-) -> IterationRecord:
-    """Reduced Newton-CG step over the support of phi, then projected search."""
-    x = state.x
-    indices = np.flatnonzero(pair.phi != 0.0)
-    g_reduced = (grad + config.lam * np.sign(x))[indices]
-
-    step_cap = _clamp(state.last_phi_step_norm, 1e-3, 1e3, scale=10.0)
-    hvp = oracle.reduced_hessian_operator(x, indices)
-    outcome = cg_solve(hvp, g_reduced, x[indices], CgLimits(step_cap, indices.size))
-
-    d = np.zeros_like(x)
-    d[indices] = outcome.direction
-    f_total = partial(_total_objective, oracle, config.lam)
-    result = linesearch_phi(f_total, x, d, indices, g_reduced)
-
-    next_x = result.next_x
-    state.last_phi_step_norm = float(np.linalg.norm(next_x - x))
-    state.x = next_x
-    return IterationRecord(
-        k=state.k,
-        type=IterationType.PHI_ADD if result.outcome is PhiOutcome.ADD else IterationType.PHI_SD,
-        objective=result.value,
-        beta_norm=pair.beta_norm,
-        phi_norm=pair.phi_norm,
-        support_size=int(np.count_nonzero(next_x)),
-        cg_iterations=outcome.iterations,
-        step_size=result.step_size,
-        elapsed=state.elapsed(),
-    )
-
-
-def beta_iteration(
-    state: SolverState,
-    oracle: ObjectiveOracle,
-    config: SolverConfig,
-    grad: np.ndarray,
-    pair: OptimalityPair,
-) -> IterationRecord:
-    """Free zero variables along the safeguarded scaled beta direction."""
-    x = state.x
-    indices = np.flatnonzero(pair.beta != 0.0)
-    beta_reduced = pair.beta[indices]
-
-    scale = _clamp(state.last_beta_step_norm, 1e-5, 1.0)
-    d = np.zeros_like(x)
-    d[indices] = -scale * beta_reduced / np.linalg.norm(beta_reduced)
-
-    f_total = partial(_total_objective, oracle, config.lam)
-    result = linesearch_beta(f_total, x, d)
-
-    next_x = result.next_x
-    state.last_beta_step_norm = float(np.linalg.norm(next_x - x))
-    state.x = next_x
-    return IterationRecord(
-        k=state.k,
-        type=IterationType.BETA,
-        objective=result.value,
-        beta_norm=pair.beta_norm,
-        phi_norm=pair.phi_norm,
-        support_size=int(np.count_nonzero(next_x)),
-        cg_iterations=0,
-        step_size=result.step_size,
-        elapsed=state.elapsed(),
-    )
 
 
 def _initial_point(x0, n: int) -> np.ndarray:
@@ -227,43 +144,84 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
     here; the layers below trust the vectors they are given.
     """
     n = oracle.dim
-    state = SolverState(x=_initial_point(x0, n))
+    x = _initial_point(x0, n)
+    started = time.perf_counter()
+    f_total = partial(_total_objective, oracle, config.lam)
+    last_phi_step_norm = last_beta_step_norm = math.inf
     trace: list[IterationRecord] = []
     while True:
-        if state.elapsed() > config.time_limit:
+        if time.perf_counter() - started > config.time_limit:
             status = SolveStatus.TIME_LIMIT
             break
-        grad = as_vector(oracle.gradient(state.x), n)
-        pair = optimality_measures(state.x, grad, config.lam)
+        grad = as_vector(oracle.gradient(x), n)
+        pair = optimality_measures(x, grad, config.lam)
         if is_optimal(pair, config.epsilon):
             status = SolveStatus.OPTIMAL
             break
-        if state.k >= config.max_iter:
+        if len(trace) >= config.max_iter:
             status = SolveStatus.MAX_ITERATIONS
             break
         try:
             # the paper's gamma = 1: a tie takes the phi branch
             if pair.beta_norm <= pair.phi_norm:
-                record = phi_iteration(state, oracle, config, grad, pair)
+                # phi: reduced Newton-CG over the support of phi, projected search
+                indices = np.flatnonzero(pair.phi != 0.0)
+                g_reduced = (grad + config.lam * np.sign(x))[indices]
+                step_cap = _clamp(last_phi_step_norm, 1e-3, 1e3, scale=10.0)
+                hvp = oracle.reduced_hessian_operator(x, indices)
+                outcome = cg_solve(hvp, g_reduced, x[indices], step_cap)
+                d = np.zeros_like(x)
+                d[indices] = outcome.direction
+                result = linesearch_phi(f_total, x, d, indices, g_reduced)
+                if result.outcome is PhiOutcome.ADD:
+                    kind = IterationType.PHI_ADD
+                else:
+                    kind = IterationType.PHI_SD
+                cg_iterations = outcome.iterations
+                # free the branch's arrays now, as a function return would:
+                # held into the next iteration they raise a solve's peak memory
+                del indices, g_reduced, hvp, outcome, d
             else:
-                record = beta_iteration(state, oracle, config, grad, pair)
+                # beta: free zero variables along the safeguarded scaled direction
+                indices = np.flatnonzero(pair.beta != 0.0)
+                beta_reduced = pair.beta[indices]
+                scale = _clamp(last_beta_step_norm, 1e-5, 1.0)
+                d = np.zeros_like(x)
+                d[indices] = -scale * beta_reduced / np.linalg.norm(beta_reduced)
+                result = linesearch_beta(f_total, x, d)
+                kind = IterationType.BETA
+                cg_iterations = 0
+                del indices, beta_reduced, d
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
-        if not np.isfinite(record.objective):
-            raise ArithmeticError(
-                f"objective became non-finite at iteration {state.k}"
+        if not np.isfinite(result.value):
+            raise ArithmeticError(f"objective became non-finite at iteration {len(trace)}")
+        step_norm = float(np.linalg.norm(result.next_x - x))
+        if kind is IterationType.BETA:
+            last_beta_step_norm = step_norm
+        else:
+            last_phi_step_norm = step_norm
+        x = result.next_x
+        trace.append(
+            IterationRecord(
+                k=len(trace),
+                type=kind,
+                objective=result.value,
+                beta_norm=pair.beta_norm,
+                phi_norm=pair.phi_norm,
+                support_size=int(np.count_nonzero(x)),
+                cg_iterations=cg_iterations,
+                step_size=result.step_size,
+                elapsed=time.perf_counter() - started,
             )
-        trace.append(record)
-        state.k += 1
+        )
 
-    objective = trace[-1].objective if trace else _total_objective(oracle, config.lam, state.x)
     return SolveReport(
         status=status,
-        x_final=state.x,
-        objective=objective,
-        percent_zeros=100.0 * float(np.count_nonzero(state.x == 0.0)) / n,
+        x_final=x,
+        objective=trace[-1].objective if trace else f_total(x),
         trace=trace,
-        total_time=state.elapsed(),
-        iterations=state.k,
+        total_time=time.perf_counter() - started,
+        iterations=len(trace),
     )

@@ -7,6 +7,12 @@ of m along -g) and does not increase the model.  CG started from d = 0
 satisfies both conditions at every iterate (the test suite checks them
 against reference implementations), so it may stop early; the three
 early-termination rules below bound the work and the step size.
+
+Only the step-norm cap changes from call to call: the solver adapts it to
+the previous phi step.  The rest is fixed by the paper or by the size of the
+subspace: the residual rule stops at max{RESIDUAL_REDUCTION * ||r0||,
+RESIDUAL_FLOOR}, the orthant rule at max{1e3, 0.1*|I|} sign flips, and the
+iteration cap is |I|, where CG is exact in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,11 +25,16 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "CgLimits",
     "CgOutcome",
     "CgStopReason",
     "cg_solve",
+    "RESIDUAL_REDUCTION",
+    "RESIDUAL_FLOOR",
 ]
+
+# The residual rule's relative reduction and absolute floor.
+RESIDUAL_REDUCTION = 1e-1
+RESIDUAL_FLOOR = 1e-12
 
 Hvp = Callable[[np.ndarray], np.ndarray]
 
@@ -33,34 +44,6 @@ class CgStopReason(Enum):
     ORTHANT_VIOLATIONS = "orthant_violations"
     STEP_TOO_LARGE = "step_too_large"
     MAX_ITERATIONS = "max_iterations"
-
-
-@dataclass(frozen=True)
-class CgLimits:
-    """Early-termination parameters for the reduced CG solve.
-
-    ``step_norm_limit`` is the adaptive trust-region-like cap on ||d_j||;
-    ``subspace_dim`` is |I_k|, which fixes the orthant-violation threshold
-    max{1e3, 0.1*|I_k|} and the iteration cap.  The residual rule stops at
-    max{residual_reduction * r0, residual_floor}; the defaults are the
-    production values and tests may relax them.
-    """
-
-    step_norm_limit: float
-    subspace_dim: int
-    residual_reduction: float = 1e-1
-    residual_floor: float = 1e-12
-    max_iterations: int | None = None
-
-    @property
-    def violation_threshold(self) -> float:
-        return max(1e3, 1e-1 * self.subspace_dim)
-
-    @property
-    def iteration_cap(self) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return self.subspace_dim
 
 
 @dataclass(frozen=True)
@@ -78,15 +61,15 @@ def _orthant_violations(x_restricted: np.ndarray, x_signs: np.ndarray, d: np.nda
 
 
 def cg_solve(
-    hvp: Hvp, g: np.ndarray, x_restricted: np.ndarray, limits: CgLimits
+    hvp: Hvp, g: np.ndarray, x_restricted: np.ndarray, step_norm_limit: float
 ) -> CgOutcome:
     """Run CG on H d = -g from d = 0, stopping at the first satisfied rule.
 
     After each iterate the rules are checked in a fixed order: residual
-    reduced, too many orthant violations, step norm at the cap.  Because CG
-    iterate norms grow monotonically from d = 0, the step-norm rule acts as
-    an implicit trust region.  Exhausting the iteration cap returns
-    MAX_ITERATIONS with the last iterate.
+    reduced, too many orthant violations, step norm at ``step_norm_limit``.
+    Because CG iterate norms grow monotonically from d = 0, the step-norm
+    rule acts as an implicit trust region.  Exhausting the iteration cap
+    returns MAX_ITERATIONS with the last iterate.
 
     Each iteration takes one residual dot product r @ r for both ||r|| and
     the next direction.  Norms are sqrt(v @ v), which is what
@@ -96,12 +79,13 @@ def cg_solve(
     r = -g  # residual b - H d for b = -g
     rs_old = float(r @ r)
     r_norm = math.sqrt(rs_old)
-    residual_target = max(limits.residual_reduction * r_norm, limits.residual_floor)
+    residual_target = max(RESIDUAL_REDUCTION * r_norm, RESIDUAL_FLOOR)
+    violation_threshold = max(1e3, 1e-1 * g.size)
 
     x_signs = np.sign(x_restricted)
     p = r.copy()
     iterations = 0
-    for j in range(1, limits.iteration_cap + 1):
+    for j in range(1, g.size + 1):
         hp = hvp(p)
         if hp.shape != p.shape:
             raise ValueError(
@@ -122,9 +106,9 @@ def cg_solve(
         iterations = j
         if r_norm <= residual_target:
             return CgOutcome(d, j, r_norm, CgStopReason.RESIDUAL_REDUCED)
-        if _orthant_violations(x_restricted, x_signs, d) >= limits.violation_threshold:
+        if _orthant_violations(x_restricted, x_signs, d) >= violation_threshold:
             return CgOutcome(d, j, r_norm, CgStopReason.ORTHANT_VIOLATIONS)
-        if math.sqrt(float(d @ d)) >= limits.step_norm_limit:
+        if math.sqrt(float(d @ d)) >= step_norm_limit:
             return CgOutcome(d, j, r_norm, CgStopReason.STEP_TOO_LARGE)
         p = r + (rs_new / rs_old) * p
         rs_old = rs_new

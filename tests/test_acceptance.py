@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from farsa import (
-    CgLimits,
     CgStopReason,
     IstaConfig,
     LogisticObjective,
@@ -194,7 +193,7 @@ def test_criterion_6_step_bound_on_random_subproblems():
         theta_min = float(np.linalg.eigvalsh(h).min())
         g = rng.normal(size=n)
         cap = float(rng.uniform(0.01, 50.0))
-        out = cg_solve(lambda v: h @ v, g, rng.normal(size=n), CgLimits(cap, n))
+        out = cg_solve(lambda v: h @ v, g, rng.normal(size=n), cap)
         bound = (2.0 / theta_min) * float(np.linalg.norm(g)) + 1e-10
         assert float(np.linalg.norm(out.direction)) <= bound
     report("criterion 6 (accepted-direction norm bound): PASS")
@@ -203,8 +202,8 @@ def test_criterion_6_step_bound_on_random_subproblems():
 def test_criterion_7_cg_stop_rule_coverage():
     seen = {}
 
-    def record(tag, hvp, g, x_restricted, limits):
-        out = cg_solve(hvp, g, x_restricted, limits)
+    def record(tag, hvp, g, x_restricted, cap):
+        out = cg_solve(hvp, g, x_restricted, cap)
         d_ref, _ = reference_direction(g, hvp)
         assert accept_direction(g, out.direction, d_ref, hvp), tag
         seen[out.stop_reason] = tag
@@ -214,18 +213,18 @@ def test_criterion_7_cg_stop_rule_coverage():
 
     h1 = (1.0 + 1e-8) * np.eye(4)
     out = record("identity", lambda v: h1 @ v, rng.normal(size=4),
-                 np.ones(4), CgLimits(1e3, 4))
+                 np.ones(4), 1e3)
     assert out.stop_reason is CgStopReason.RESIDUAL_REDUCED
 
     h2 = np.diag([1.0, 2.0, 4.0, 8.0, 16.0])
     out = record("tiny cap", lambda v: h2 @ v, np.ones(5),
-                 np.ones(5), CgLimits(1e-9, 5))
+                 np.ones(5), 1e-9)
     assert out.stop_reason is CgStopReason.STEP_TOO_LARGE
 
     n = 1200
     diag = rng.uniform(1.0, 100.0, size=n)
     out = record("mass sign flip", lambda v: diag * v, np.ones(n),
-                 1e-6 * np.ones(n), CgLimits(1e3, n))
+                 1e-6 * np.ones(n), 1e3)
     assert out.stop_reason is CgStopReason.ORTHANT_VIOLATIONS
 
     assert {

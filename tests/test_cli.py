@@ -1,6 +1,7 @@
 """CLI surface: flags, output formats, exit codes, schema conformance."""
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -9,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from farsa import Dataset, SparseMatrix, write_libsvm
+from farsa import Dataset, IterationRecord, SparseMatrix, write_libsvm
 from farsa.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +147,16 @@ class TestSolveCommand:
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert all(r["type"] in ("phi_sd", "phi_add", "beta") for r in rows)
 
+    def test_trace_header_is_the_record_fields(self, capsys, small_problem, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys,
+            ["solve", "--data", small_problem, "--trace", str(trace_path)],
+        )
+        assert code == 0
+        header = next(csv.reader(trace_path.open()))
+        assert header == [f.name for f in dataclasses.fields(IterationRecord)]
+
     def test_repeat_reports_mean_time(self, capsys, small_problem):
         code, out, _ = run_cli(
             capsys,
@@ -222,6 +233,7 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--data", small_problem, "--tolerances", "1e-2,zap"])
         assert exc.value.code == 2
+        assert "'zap': not a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, capsys, small_problem, value):

@@ -318,7 +318,6 @@ class TestScaling:
         )
         scaled = scale_minus1_1(ds)
         assert_allclose(scaled.matrix.to_dense().ravel(), [-1.0, 0.0, 1.0])
-        assert scaled.scaled
 
     def test_constant_column_maps_to_zero(self):
         ds = Dataset(

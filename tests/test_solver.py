@@ -10,7 +10,6 @@ from farsa import (
     IterationType,
     QuadraticObjective,
     SolverConfig,
-    SolverState,
     SolveStatus,
     ista_solve,
     IstaConfig,
@@ -19,7 +18,7 @@ from farsa import (
 )
 from farsa import objectives
 from farsa.objectives import ObjectiveOracle
-from farsa.solver import _clamp, beta_iteration, phi_iteration
+from farsa.solver import _clamp
 from problems import quadratic_l1_minimizer, random_logistic_problem, random_quadratic
 
 
@@ -47,49 +46,42 @@ class TestAdaptiveScales:
     def test_phi_step_cap_clamps(self):
         assert _clamp(1e-9, 1e-3, 1e3, scale=10.0) == 1e-3
         assert _clamp(1e9, 1e-3, 1e3, scale=10.0) == 1e3
-        assert _clamp(None, 1e-3, 1e3, scale=10.0) == 1e3
+        assert _clamp(math.inf, 1e-3, 1e3, scale=10.0) == 1e3
         assert _clamp(0.05, 1e-3, 1e3, scale=10.0) == 0.5
 
     def test_beta_scale_clamps(self):
         assert _clamp(1e-9, 1e-5, 1.0) == 1e-5
         assert _clamp(7.0, 1e-5, 1.0) == 1.0
-        assert _clamp(None, 1e-5, 1.0) == 1.0
+        assert _clamp(math.inf, 1e-5, 1.0) == 1.0
 
     def test_first_beta_direction_has_unit_norm(self):
         # |g_i| > lam at zero: first-ever freeing direction has length
         # exactly delta = 1
         obj = QuadraticObjective([1.0, 1.0, 1.0], [-3.0, 4.0, 0.1])
-        config = SolverConfig(lam=1.0)
-        state = SolverState(x=np.zeros(3))
-        grad = obj.gradient(state.x)
-        pair = optimality_measures(state.x, grad, config.lam)
-        record = beta_iteration(state, obj, config, grad, pair)
+        report = solve(obj, SolverConfig(lam=1.0, max_iter=1))
+        record = report.trace[0]
         assert record.type is IterationType.BETA
-        step_len = np.linalg.norm(state.x - np.zeros(3)) / record.step_size
+        step_len = np.linalg.norm(report.x_final) / record.step_size
         assert step_len == pytest.approx(1.0, rel=1e-12)
 
     def test_beta_iteration_frees_only_violating_coordinates(self):
         obj = QuadraticObjective([1.0, 1.0, 1.0], [-3.0, 4.0, 0.1])
-        config = SolverConfig(lam=1.0)
-        state = SolverState(x=np.zeros(3))
-        grad = obj.gradient(state.x)
-        pair = optimality_measures(state.x, grad, config.lam)
+        pair = optimality_measures(np.zeros(3), obj.gradient(np.zeros(3)), 1.0)
         beta_support = np.flatnonzero(pair.beta)
-        beta_iteration(state, obj, config, grad, pair)
-        assert np.array_equal(np.flatnonzero(state.x), beta_support)
+        report = solve(obj, SolverConfig(lam=1.0, max_iter=1))
+        assert report.trace[0].type is IterationType.BETA
+        assert np.array_equal(np.flatnonzero(report.x_final), beta_support)
         assert beta_support.tolist() == [0, 1]  # |0.1| <= lam stays zero
 
     def test_phi_iteration_newton_step_on_separable_quadratic(self):
         # from inside the optimal orthant one phi-iteration lands on the
         # minimizer (up to the Hessian shift)
         obj = QuadraticObjective([1.0], [-3.0])
-        config = SolverConfig(lam=1.0)
-        state = SolverState(x=np.array([1.0]))
-        grad = obj.gradient(state.x)
-        pair = optimality_measures(state.x, grad, config.lam)
-        record = phi_iteration(state, obj, config, grad, pair)
+        report = solve(obj, SolverConfig(lam=1.0, max_iter=1), x0=[1.0])
+        record = report.trace[0]
+        assert record.type is not IterationType.BETA
         assert record.step_size == 1.0
-        assert_allclose(state.x, [2.0], atol=1e-7)
+        assert_allclose(report.x_final, [2.0], atol=1e-7)
 
 
 class TestTraceInvariants:
@@ -120,23 +112,29 @@ class TestTraceInvariants:
     def test_phi_iterations_never_touch_zero_variables(self):
         rng = np.random.default_rng(200)
         obj, lam = random_logistic_problem(rng, 30, 12)
-        config = SolverConfig(lam=lam)
-        # replay the solve manually to watch supports
-        state = SolverState(x=np.zeros(12))
-        for _ in range(200):
-            grad = obj.gradient(state.x)
-            pair = optimality_measures(state.x, grad, lam)
-            if max(pair.beta_norm, pair.phi_norm) <= config.epsilon:
-                break
-            before = state.x.copy()
-            if pair.beta_norm <= pair.phi_norm:
-                phi_iteration(state, obj, config, grad, pair)
-                was_zero = before == 0.0
-                assert np.all(state.x[was_zero] == 0.0)
-            else:
-                beta_iteration(state, obj, config, grad, pair)
-                freed = (before == 0.0) & (state.x != 0.0)
+        # the solver asks for one gradient per iterate, so the spy sees x_k
+        # and its gradient for every k, the final point included
+        seen = []
+        gradient = obj.gradient
+
+        def spy(x):
+            g = gradient(x)
+            seen.append((np.array(x, copy=True), g))
+            return g
+
+        obj.gradient = spy
+        report = solve(obj, SolverConfig(lam=lam))
+        assert report.status is SolveStatus.OPTIMAL
+        assert len(seen) == report.iterations + 1
+        types = {r.type for r in report.trace}
+        assert IterationType.BETA in types and types - {IterationType.BETA}
+        for record, (before, grad), (after, _) in zip(report.trace, seen, seen[1:]):
+            if record.type is IterationType.BETA:
+                pair = optimality_measures(before, grad, lam)
+                freed = (before == 0.0) & (after != 0.0)
                 assert np.all(pair.beta[freed] != 0.0)
+            else:
+                assert np.all(after[before == 0.0] == 0.0)
 
     def test_solution_matches_ista_baseline_and_closed_form(self):
         rng = np.random.default_rng(300)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import CgLimits, CgStopReason, cg_solve
+from farsa import CgStopReason, cg_solve
 from reference import accept_direction, model_decrease, reference_direction
 
 
@@ -107,7 +107,7 @@ class TestCgSolve:
         rng = np.random.default_rng(25)
         g = rng.normal(size=6)
         h = (1.0 + 1e-8) * np.eye(6)
-        out = cg_solve(matrix_hvp(h), g, 10.0 * np.ones(6), CgLimits(1e3, 6))
+        out = cg_solve(matrix_hvp(h), g, 10.0 * np.ones(6), 1e3)
         assert out.stop_reason is CgStopReason.RESIDUAL_REDUCED
         assert out.iterations == 1
         assert_allclose(out.direction, -g, rtol=1e-7)
@@ -115,7 +115,7 @@ class TestCgSolve:
     def test_step_norm_cap_triggers_on_first_large_iterate(self):
         h = np.diag([1.0, 2.0, 4.0, 8.0, 16.0])
         g = np.ones(5)
-        out = cg_solve(matrix_hvp(h), g, 10.0 * np.ones(5), CgLimits(1e-9, 5))
+        out = cg_solve(matrix_hvp(h), g, 10.0 * np.ones(5), 1e-9)
         assert out.stop_reason is CgStopReason.STEP_TOO_LARGE
         assert out.iterations == 1
         assert np.linalg.norm(out.direction) >= 1e-9
@@ -126,9 +126,7 @@ class TestCgSolve:
         diag = rng.uniform(1.0, 100.0, size=n)
         g = np.ones(n)
         x_restricted = 1e-6 * np.ones(n)
-        out = cg_solve(
-            lambda v: diag * v, g, x_restricted, CgLimits(1e3, n)
-        )
+        out = cg_solve(lambda v: diag * v, g, x_restricted, 1e3)
         assert out.stop_reason is CgStopReason.ORTHANT_VIOLATIONS
         moved = np.sign(x_restricted + out.direction)
         flipped = np.count_nonzero((moved != 0.0) & (moved != 1.0))
@@ -142,7 +140,7 @@ class TestCgSolve:
             g = rng.normal(size=n)
             hvp = matrix_hvp(h)
             cap = float(rng.uniform(0.05, 10.0))
-            out = cg_solve(hvp, g, rng.normal(size=n), CgLimits(cap, n))
+            out = cg_solve(hvp, g, rng.normal(size=n), cap)
             d_ref, _ = reference_direction(g, hvp)
             assert accept_direction(g, out.direction, d_ref, hvp)
 
@@ -153,9 +151,9 @@ class TestCgSolve:
             h = random_spd(rng, n)
             g = rng.normal(size=n)
             hvp = matrix_hvp(h)
-            out = cg_solve(
-                hvp, g, np.ones(n), CgLimits(1e300, n, max_iterations=1)
-            )
+            # a zero cap stops CG after its first iterate, whichever rule fires
+            out = cg_solve(hvp, g, np.ones(n), 0.0)
+            assert out.iterations == 1
             d_ref, _ = reference_direction(g, hvp)
             assert g @ out.direction == g @ d_ref
 
@@ -164,17 +162,15 @@ class TestCgSolve:
         h = random_spd(rng, 12)
         g = rng.normal(size=12)
         hvp = matrix_hvp(h)
-        norms = []
-        for j in range(1, 13):
-            out = cg_solve(
-                hvp,
-                g,
-                np.ones(12),
-                CgLimits(1e300, 12, residual_reduction=0.0, residual_floor=0.0,
-                         max_iterations=j),
-            )
-            norms.append(np.linalg.norm(out.direction))
-        diffs = np.diff(norms)
+        # the cap returns the first iterate at least that long, so a sweep of
+        # caps visits the iterates in turn up to the residual rule
+        newton_norm = np.linalg.norm(np.linalg.solve(h, -g))
+        norms = {}
+        for cap in np.geomspace(1e-3, 2.0 * newton_norm, 400):
+            out = cg_solve(hvp, g, np.ones(12), float(cap))
+            norms[out.iterations] = np.linalg.norm(out.direction)
+        assert len(norms) >= 3
+        diffs = np.diff([norms[j] for j in sorted(norms)])
         assert np.all(diffs >= -1e-12)
 
     def test_step_bound_against_smallest_eigenvalue(self):
@@ -185,34 +181,48 @@ class TestCgSolve:
             g = rng.normal(size=n)
             theta_min = float(np.linalg.eigvalsh(h).min())
             cap = float(rng.uniform(0.05, 100.0))
-            out = cg_solve(matrix_hvp(h), g, rng.normal(size=n), CgLimits(cap, n))
+            out = cg_solve(matrix_hvp(h), g, rng.normal(size=n), cap)
             bound = (2.0 / theta_min) * np.linalg.norm(g) + 1e-10
             assert np.linalg.norm(out.direction) <= bound
 
-    def test_finite_termination_with_relaxed_limits(self):
+    def test_finite_termination_on_three_eigenvalues(self):
+        # CG solves exactly in as many iterations as H has distinct
+        # eigenvalues; with these three far apart the first two iterates
+        # leave the residual above a tenth of ||g||, so the residual rule
+        # fires only at the third, exact one
         rng = np.random.default_rng(31)
         n = 20
-        h = random_spd(rng, n, eig_low=1.0, eig_high=4.0)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        h = q @ np.diag(np.repeat([1.0, 30.0, 900.0], [7, 7, 6])) @ q.T
         g = rng.normal(size=n)
-        out = cg_solve(
-            matrix_hvp(h),
-            g,
-            np.ones(n),
-            CgLimits(1e300, n, residual_reduction=0.0),
-        )
-        assert out.residual_norm <= 1e-12
-        assert out.iterations <= n
+        out = cg_solve(matrix_hvp(h), g, np.ones(n), np.inf)
+        assert out.stop_reason is CgStopReason.RESIDUAL_REDUCED
+        assert out.iterations == 3
+        assert out.residual_norm <= 1e-9 * np.linalg.norm(g)
+        assert_allclose(out.direction, np.linalg.solve(h, -g), rtol=1e-8)
+
+    def test_iteration_cap_is_subspace_dimension(self):
+        # in exact arithmetic CG is done after n iterations; on a system this
+        # ill-conditioned rounding leaves the residual unreduced, and the
+        # solve stops at the cap |I| = n with its last iterate
+        n = 10
+        diag = np.geomspace(1.0, 1e10, n)
+        g = np.ones(n)
+        out = cg_solve(lambda v: diag * v, g, np.ones(n), np.inf)
+        assert out.stop_reason is CgStopReason.MAX_ITERATIONS
+        assert out.iterations == n
+        assert out.residual_norm > 0.1 * np.linalg.norm(g)
 
     def test_non_finite_residual_names_iteration(self):
         def bad_hvp(v):
             return np.full_like(v, np.nan)
 
         with pytest.raises(ArithmeticError, match="iteration 1"):
-            cg_solve(bad_hvp, np.ones(3), np.ones(3), CgLimits(1e3, 3))
+            cg_solve(bad_hvp, np.ones(3), np.ones(3), 1e3)
 
     def test_dimension_mismatch_detected(self):
         def wrong_shape(v):
             return np.ones(v.size + 1)
 
         with pytest.raises(ValueError, match="shape"):
-            cg_solve(wrong_shape, np.ones(3), np.ones(3), CgLimits(1e3, 3))
+            cg_solve(wrong_shape, np.ones(3), np.ones(3), 1e3)
