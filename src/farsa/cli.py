@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", choices=["human", "json", "csv"], default="human"
     )
     p_solve.add_argument(
-        "--trace", default=None, metavar="PATH", help="write per-iteration CSV"
+        "--trace", default=None, metavar="PATH", help="write per-iteration CSV (farsa only)"
     )
     p_solve.add_argument(
         "--repeat",
@@ -210,6 +210,9 @@ def _write_trace(path: str, report: SolveReport) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.trace and args.solver == "ista":
+        print("error: --trace is not available with --solver ista", file=sys.stderr)
+        return 2
     dataset = _load(args)
     lam = args.lam if args.lam is not None else 1.0 / dataset.n_samples
     oracle = LogisticObjective(dataset.matrix, dataset.labels)
@@ -296,3 +299,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -216,7 +216,8 @@ def parse_libsvm(
     -1 or 0 (when normalizing), an index below 1 or beyond 64 bits, indices
     not strictly increasing, and a value that is not finite (``nan``,
     ``inf``, or one that overflows such as ``1e400``).  It also raises for
-    input without samples and for ``n_features`` below the largest index.
+    input without samples, for a matrix without columns, and for
+    ``n_features`` below the largest index.
     """
     labels = array("d")
     values = array("d")
@@ -251,6 +252,8 @@ def parse_libsvm(
                 f"n_features={n_features} is smaller than the largest index {n_cols}"
             )
         n_cols = n_features
+    if n_cols == 0:
+        raise DatasetFormatError("no features in input")
 
     matrix = SparseMatrix(
         n_rows,

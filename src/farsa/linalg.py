@@ -1,7 +1,8 @@
 """Dense-vector and sparse-matrix kernels shared by the solver modules.
 
-Vectors are plain 1-d ``numpy.float64`` arrays.  Index sets are sorted,
-duplicate-free ``int64`` arrays.
+Vectors are finite 1-d ``numpy.float64`` arrays; index sets are sorted,
+duplicate-free and in range.  Only ``as_vector`` (the boundary's check) and
+the constructor check; the products and slices trust their inputs.
 
 A ``SparseMatrix`` wraps one scipy matrix.  Matrices built through the
 constructor are compressed sparse row (CSR), the layout of LIBSVM rows and
@@ -23,7 +24,6 @@ import scipy.sparse as sp
 __all__ = [
     "SparseMatrix",
     "as_vector",
-    "as_index_set",
     "spmv",
     "spmv_transpose",
 ]
@@ -39,22 +39,6 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains non-finite entries")
     return v
-
-
-def as_index_set(indices, n: int) -> np.ndarray:
-    """Coerce ``indices`` to a strictly increasing int64 array with entries < n."""
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError(f"expected a 1-d index array, got shape {idx.shape}")
-    if idx.size:
-        if idx[0] < 0 or idx[-1] >= n:
-            raise ValueError(
-                f"index set contains entries outside [0, {n}): "
-                f"min={idx.min()}, max={idx.max()}"
-            )
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("index set must be strictly increasing")
-    return idx
 
 
 def _index_array(a) -> np.ndarray:
@@ -183,32 +167,20 @@ class SparseMatrix:
         return self._matrix.toarray()
 
     def column_submatrix(self, indices) -> "SparseMatrix":
-        """Restrict to the given columns (reduced-space products)."""
-        idx = as_index_set(indices, self.n_cols)
-        # unchecked: a column slice of a validated matrix keeps its invariants
+        """Restrict to ``indices``: sorted, duplicate-free and in range, unchecked."""
         sub = SparseMatrix.__new__(SparseMatrix)
-        sub._matrix = self._csc[:, idx]
+        sub._matrix = self._csc[:, indices]
         return sub
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
 
-def spmv(matrix: SparseMatrix, x) -> np.ndarray:
-    """Return ``A @ x``."""
-    v = as_vector(x)
-    if v.shape[0] != matrix.n_cols:
-        raise ValueError(
-            f"matrix has {matrix.n_cols} columns but vector has length {v.shape[0]}"
-        )
-    return matrix._matrix @ v
+def spmv(matrix: SparseMatrix, x: np.ndarray) -> np.ndarray:
+    """Return ``A @ x``; ``x`` is a finite float64 vector of length n_cols."""
+    return matrix._matrix @ x
 
 
-def spmv_transpose(matrix: SparseMatrix, x) -> np.ndarray:
-    """Return ``A.T @ x``."""
-    v = as_vector(x)
-    if v.shape[0] != matrix.n_rows:
-        raise ValueError(
-            f"matrix has {matrix.n_rows} rows but vector has length {v.shape[0]}"
-        )
-    return matrix._transpose @ v
+def spmv_transpose(matrix: SparseMatrix, x: np.ndarray) -> np.ndarray:
+    """Return ``A.T @ x``; ``x`` is a finite float64 vector of length n_rows."""
+    return matrix._transpose @ x

@@ -64,7 +64,8 @@ class ObjectiveOracle(ABC):
 
         The closure amortizes any per-(x, I) setup over the many products a
         CG solve performs.  It applies [H(x)]_{I,I} v + shift*v and expects
-        a float64 vector of length |I|, unchecked.
+        a float64 vector of length |I|; ``indices`` must be sorted,
+        duplicate-free and in range.  Neither is checked.
         """
 
 
@@ -141,7 +142,7 @@ class QuadraticObjective(ObjectiveOracle):
     """Separable quadratic f(x) = 0.5 x^T diag(d) x + c^T x with d > 0.
 
     Closed-form test oracle: the l1-regularized minimizer is the
-    componentwise soft threshold of -c/d.
+    componentwise soft threshold of -c/d.  Only the constructor checks.
     """
 
     def __init__(self, diag, linear):
@@ -157,12 +158,10 @@ class QuadraticObjective(ObjectiveOracle):
         return self.diag.shape[0]
 
     def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        return float(0.5 * v @ (self.diag * v) + self.linear @ v)
+        return float(0.5 * x @ (self.diag * x) + self.linear @ x)
 
     def gradient(self, x) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        return self.diag * v + self.linear
+        return self.diag * x + self.linear
 
     def reduced_hessian_operator(self, x, indices):
         d_reduced = self.diag[indices] + HESSIAN_SHIFT

@@ -16,20 +16,18 @@ import numpy as np
 import pytest
 
 from farsa import (
-    CgStopReason,
     IstaConfig,
     LogisticObjective,
     SolveStatus,
     SolverConfig,
-    cg_solve,
     ista_solve,
-    ista_step,
     load_dataset,
-    optimality_measures,
     parse_libsvm,
     solve,
     write_libsvm,
 )
+from farsa.optimality import ista_step, optimality_measures
+from farsa.subproblem import CgStopReason, cg_solve
 from problems import random_logistic_problem, random_quadratic
 from reference import (
     accept_direction,

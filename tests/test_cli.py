@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -134,6 +137,25 @@ class TestSolveCommand:
         assert code == 1
         assert err.startswith("error: line 2: ")
 
+    def test_file_without_features_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "labels_only.libsvm"
+        path.write_text("1\n-1\n")
+        code, out, err = run_cli(capsys, ["solve", "--data", str(path)])
+        assert code == 1
+        assert err == "error: no features in input\n"
+
+    def test_ista_trace_rejected_before_loading(self, capsys, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["solve", "--data", "/no/such/file", "--solver", "ista", "--trace", str(trace_path)],
+        )
+        # exit 2, not the missing file's 1: the flags are refused first
+        assert code == 2
+        assert "--trace" in err and "--solver ista" in err
+        assert out == ""
+        assert not trace_path.exists()
+
     def test_trace_file_written(self, capsys, small_problem, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code, _, _ = run_cli(
@@ -241,3 +263,16 @@ class TestSweepCommand:
             main(["sweep", "--data", small_problem, "--tolerances", f"1e-2,{value}"])
         assert exc.value.code == 2
         assert "epsilon must be positive and finite" in capsys.readouterr().err
+
+
+def test_module_runs_as_script(small_problem):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "farsa.cli", "solve", "--data", small_problem, "--output", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "optimal"

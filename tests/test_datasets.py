@@ -127,6 +127,14 @@ class TestParse:
         with pytest.raises(DatasetFormatError, match="no samples"):
             parse_libsvm(io.StringIO(""))
 
+    def test_input_without_features_rejected(self):
+        with pytest.raises(DatasetFormatError, match="no features"):
+            parse_libsvm(io.StringIO("1\n-1\n"))
+        with pytest.raises(DatasetFormatError, match="no features"):
+            parse_libsvm(io.StringIO("1\n-1\n"), n_features=0)
+        # trailing all-zero features still widen a file with no tokens
+        assert parse_libsvm(io.StringIO("1\n-1\n"), n_features=3).matrix.shape == (2, 3)
+
     def test_malformed_token_names_line(self):
         with pytest.raises(DatasetFormatError, match="line 2"):
             parse_libsvm(io.StringIO("+1 1:1\n-1 2:oops\n"))

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import (
-    IstaConfig,
-    QuadraticObjective,
-    SolveStatus,
-    ista_solve,
-    ista_step,
-    optimality_measures,
-)
+from farsa import IstaConfig, QuadraticObjective, SolveStatus, ista_solve
 from farsa.ista import shrink
+from farsa.optimality import ista_step, optimality_measures
 from problems import quadratic_l1_minimizer, random_quadratic
 
 

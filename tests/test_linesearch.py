@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import (
+from farsa.linesearch import (
+    ETA,
+    XI,
     LineSearchError,
     PhiOutcome,
     linesearch_beta,
     linesearch_phi,
+    orthant_boundary_step,
     project_orthant,
 )
-from farsa.linesearch import ETA, XI, orthant_boundary_step
 
 
 class TestProjection:

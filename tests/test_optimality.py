@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import (
-    OptimalityPair,
-    QuadraticObjective,
-    is_optimal,
-    ista_step,
-    optimality_measures,
-)
+from farsa import QuadraticObjective
+from farsa.optimality import OptimalityPair, is_optimal, ista_step, optimality_measures
 from reference import (
     beta_scalar,
     phi_scalar,

@@ -13,11 +13,11 @@ from farsa import (
     SolveStatus,
     ista_solve,
     IstaConfig,
-    optimality_measures,
     solve,
 )
-from farsa import objectives
+from farsa import linalg, objectives, solver
 from farsa.objectives import ObjectiveOracle
+from farsa.optimality import optimality_measures
 from farsa.solver import _clamp
 from problems import quadratic_l1_minimizer, random_logistic_problem, random_quadratic
 
@@ -281,6 +281,19 @@ SOLVERS = [
 ]
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Count the calls of ``owner.name`` for the rest of the test."""
+    count = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return count
+
+
 class TestBoundaryChecks:
     @pytest.mark.parametrize("run", SOLVERS)
     @pytest.mark.parametrize(
@@ -301,6 +314,16 @@ class TestBoundaryChecks:
     def test_bad_gradient_rejected(self, run, grad, message):
         with pytest.raises(ValueError, match=message):
             run(UncheckedOracle(grad), None)
+
+    def test_vectors_checked_once_per_gradient_and_never_below(self, monkeypatch):
+        oracle, lam = random_logistic_problem(np.random.default_rng(0), 60, 20)
+        kernel_checks = count_calls(monkeypatch, linalg, "as_vector")
+        solver_checks = count_calls(monkeypatch, solver, "as_vector")
+        gradients = count_calls(monkeypatch, oracle, "gradient")
+        report = solve(oracle, SolverConfig(lam=lam))
+        assert report.status is SolveStatus.OPTIMAL
+        assert kernel_checks[0] == 0
+        assert solver_checks[0] == gradients[0] == report.iterations + 1
 
 
 class TestConfigValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import CgStopReason, cg_solve
+from farsa.subproblem import CgStopReason, cg_solve
 from reference import accept_direction, model_decrease, reference_direction
 
 
