@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import gzip
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
 from os import PathLike
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, check_csr
 
 __all__ = [
     "Dataset",
@@ -105,10 +106,11 @@ def _one_colon_each(features: str) -> bool:
 def _parse_block(lines: list[str], normalize_labels: bool) -> tuple[np.ndarray, ...] | None:
     """Parse a list of lines with whole-array conversions and checks.
 
-    Returns ``(labels, row_nnz, cols, values)`` with 0-based int64 ``cols``,
+    Returns ``(labels, offsets, cols, values)`` with 0-based int64 ``cols``,
     or None if any line is malformed; blank lines contribute no row.
     Labels and values convert as ``float()`` does and indices as ``int()``
-    does, so ``1.0:2`` is rejected.
+    does, so ``1.0:2`` is rejected.  The index, order and finiteness checks
+    are borrowed from ``check_csr``, the matrix's definition of valid.
     """
     rows = [tokens for tokens in map(str.split, lines) if tokens]
     features = " ".join(chain.from_iterable([tokens[1:] for tokens in rows]))
@@ -123,34 +125,22 @@ def _parse_block(lines: list[str], normalize_labels: bool) -> tuple[np.ndarray, 
         values = np.array(parts[1::2], dtype=np.float64)
     except (ValueError, OverflowError):  # OverflowError: an index beyond int64
         return None
-    row_nnz = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) - 1
-    # indices may fail to increase only where a new row starts
-    row_start = np.zeros(cols.size, dtype=bool)
-    row_start[(np.cumsum(row_nnz) - row_nnz)[row_nnz > 0]] = True
     if normalize_labels:
         # "+1"/"1" -> +1; "-1"/"0" -> -1 (0/1-labeled files)
         if not np.all((labels == 1.0) | (labels == -1.0) | (labels == 0.0)):
             return None
         labels = np.where(labels == 1.0, 1.0, -1.0)
-    if not (
-        np.all(cols >= 1)
-        and np.all((np.diff(cols) > 0) | row_start[1:])
-        and np.all(np.isfinite(values))
-    ):
+    row_nnz = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) - 1
+    offsets = np.concatenate(([0], np.cumsum(row_nnz)))
+    # the width is taken before the shift to 0-based, in which the index
+    # -2**63 wraps to 2**63 - 1 and so lands out of range
+    width = int(cols.max()) if cols.size else 0
+    cols -= 1
+    try:
+        check_csr(len(rows), width, offsets, cols, values)
+    except ValueError:
         return None
-    return labels, row_nnz, cols - 1, values
-
-
-def _first_failing(n: int, fails: Callable[[int], bool]) -> int:
-    """Smallest k in [1, n] with ``fails(k)``, for monotone ``fails`` with ``fails(n)``."""
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fails(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return labels, offsets, cols, values
 
 
 def _block_error(
@@ -162,13 +152,14 @@ def _block_error(
     holds a malformed line, and a prefix of that line's tokens fails exactly
     when it holds the first bad token.
     """
-    k = _first_failing(
-        len(lines), lambda k: _parse_block(lines[:k], normalize_labels) is None
-    )
+
+    def fails(block: list[str]) -> bool:
+        return _parse_block(block, normalize_labels) is None
+
+    k = 1 + bisect_left(range(1, len(lines) + 1), True, key=lambda k: fails(lines[:k]))
     tokens = lines[k - 1].split()
-    j = _first_failing(
-        len(tokens),
-        lambda j: _parse_block([" ".join(tokens[:j])], normalize_labels) is None,
+    j = 1 + bisect_left(
+        range(1, len(tokens) + 1), True, key=lambda j: fails([" ".join(tokens[:j])])
     )
     return DatasetFormatError(f"line {first_line_no + k - 1}: {_token_error(tokens, j - 1)}")
 
@@ -231,10 +222,10 @@ def parse_libsvm(
         if parsed is None:
             raise _block_error(block, line_no, normalize_labels)
         line_no += len(block)
-        block_labels, row_nnz, cols, block_values = parsed
+        block_labels, offsets, cols, block_values = parsed
         labels.frombytes(block_labels.tobytes())
         values.frombytes(block_values.tobytes())
-        row_offsets.frombytes((np.cumsum(row_nnz) + row_offsets[-1]).tobytes())
+        row_offsets.frombytes((offsets[1:] + row_offsets[-1]).tobytes())
         if cols.size:
             max_col = max(max_col, int(cols.max()))
             if col_indices.typecode == "i" and max_col > _INT32_MAX:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -66,7 +65,6 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
     f_x = oracle.value(x)
 
     t = 1.0
-    started = perf_counter()
     status = SolveStatus.MAX_ITERATIONS
     for k in range(config.max_iter + 1):
         grad = as_vector(oracle.gradient(x), n)
@@ -101,6 +99,5 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
         x_final=x,
         objective=objective,
         trace=[],
-        total_time=perf_counter() - started,
         iterations=k,
     )

@@ -2,7 +2,8 @@
 
 Vectors are finite 1-d ``numpy.float64`` arrays; index sets are sorted,
 duplicate-free and in range.  Only ``as_vector`` (the boundary's check) and
-the constructor check; the products and slices trust their inputs.
+``check_csr``, the one definition of a valid matrix that the constructor and
+the LIBSVM parser share, check; the products and slices trust their inputs.
 
 A ``SparseMatrix`` wraps one scipy matrix.  Matrices built through the
 constructor are compressed sparse row (CSR), the layout of LIBSVM rows and
@@ -24,6 +25,7 @@ import scipy.sparse as sp
 __all__ = [
     "SparseMatrix",
     "as_vector",
+    "check_csr",
     "spmv",
     "spmv_transpose",
 ]
@@ -39,6 +41,39 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def check_csr(n_rows: int, n_cols: int, offsets, cols, values) -> sp.csr_matrix:
+    """The scipy CSR matrix of these arrays, or ``ValueError`` naming the first broken rule.
+
+    ``offsets`` has length n_rows+1, starts at 0, never decreases and ends
+    at the number of ``cols`` and ``values``; every column lies in
+    [0, n_cols) and strictly increases within its row; every value is
+    finite.  int32 indices and float64 values reach scipy uncopied.
+    """
+    if offsets.shape != (n_rows + 1,):
+        raise ValueError(
+            f"row_offsets must have length n_rows+1={n_rows + 1}, "
+            f"got {offsets.shape[0]}"
+        )
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        raise ValueError("row_offsets must start at 0 and be nondecreasing")
+    if offsets[-1] != cols.shape[0] or cols.shape != values.shape:
+        raise ValueError(
+            f"inconsistent nnz: row_offsets end {offsets[-1]}, "
+            f"{cols.shape[0]} column indices, {values.shape[0]} values"
+        )
+    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+        raise ValueError(f"column index out of range [0, {n_cols})")
+    # the checks above come first: scipy's constructor silently drops entries
+    # past offsets[-1], and its row-order scan reads cols[offsets[i]:offsets[i+1]]
+    # without bounds checks
+    matrix = sp.csr_matrix((values, cols, offsets), shape=(n_rows, n_cols))
+    if not matrix.has_canonical_format:
+        raise ValueError("column indices must be strictly increasing within each row")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix values contain non-finite entries")
+    return matrix
 
 
 def _index_array(a) -> np.ndarray:
@@ -63,8 +98,8 @@ class SparseMatrix:
     The matrix holds one scipy matrix and no other copy of its arrays:
     ``row_offsets``, ``col_indices`` and ``values`` are read-only views of
     it, with the index dtype scipy picked (int32 whenever the indices fit).
-    The constructor validates its inputs and hands float64 values and int32
-    indices to scipy without copying them.
+    The constructor keeps the matrix built by ``check_csr``, the one
+    definition of a valid matrix; float64 values and int32 indices are not copied.
 
     ``column_submatrix`` slices a column-major (CSC) copy of the matrix,
     built on the first call and kept, and returns the slice in CSC form,
@@ -86,37 +121,9 @@ class SparseMatrix:
         n_rows, n_cols = int(n_rows), int(n_cols)
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        offs = _index_array(row_offsets)
-        cols = _index_array(col_indices)
-        vals = np.ascontiguousarray(values, dtype=np.float64)
-        self._validate(n_rows, n_cols, offs, cols, vals)
-        self._matrix = sp.csr_matrix((vals, cols, offs), shape=(n_rows, n_cols))
-
-    @staticmethod
-    def _validate(n_rows, n_cols, offs, cols, vals) -> None:
-        if offs.shape != (n_rows + 1,):
-            raise ValueError(
-                f"row_offsets must have length n_rows+1={n_rows + 1}, "
-                f"got {offs.shape[0]}"
-            )
-        if offs[0] != 0 or np.any(np.diff(offs) < 0):
-            raise ValueError("row_offsets must start at 0 and be nondecreasing")
-        if offs[-1] != cols.shape[0] or cols.shape != vals.shape:
-            raise ValueError(
-                f"inconsistent nnz: row_offsets end {offs[-1]}, "
-                f"{cols.shape[0]} column indices, {vals.shape[0]} values"
-            )
-        if cols.size:
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError(f"column index out of range [0, {n_cols})")
-            # strictly increasing within each row: diffs may only be <= 0 at
-            # positions where a new row starts
-            bad = np.flatnonzero(np.diff(cols) <= 0) + 1
-            row_starts = offs[1:-1]
-            if np.any(~np.isin(bad, row_starts)):
-                raise ValueError("column indices must be strictly increasing within each row")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("matrix values contain non-finite entries")
+        offsets, cols = _index_array(row_offsets), _index_array(col_indices)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        self._matrix = check_csr(n_rows, n_cols, offsets, cols, values)
 
     @cached_property
     def _csc(self):
@@ -160,7 +167,6 @@ class SparseMatrix:
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
         csr = sp.csr_matrix(a)
-        csr.sort_indices()
         return cls(a.shape[0], a.shape[1], csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> np.ndarray:

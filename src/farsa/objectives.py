@@ -106,10 +106,6 @@ class LogisticObjective(ObjectiveOracle):
     def dim(self) -> int:
         return self.matrix.n_cols
 
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.n_rows
-
     def _margins(self, x) -> np.ndarray:
         if self._memo_x is not None and np.array_equal(x, self._memo_x):
             return self._memo_margins

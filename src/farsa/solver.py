@@ -104,7 +104,6 @@ class SolveReport:
     x_final: np.ndarray
     objective: float
     trace: list[IterationRecord]
-    total_time: float
     iterations: int
 
     @property
@@ -131,7 +130,9 @@ def _clamp(value: float, lower: float, upper: float, scale: float = 1.0) -> floa
 
 
 def _initial_point(x0, n: int) -> np.ndarray:
-    """A checked float64 copy of x0 (length n, finite), or the zero vector."""
+    """A checked float64 copy of x0 (length n >= 1, finite), or the zero vector."""
+    if n == 0:
+        raise ValueError("the problem has no variables (oracle.dim == 0)")
     if x0 is None:
         return np.zeros(n)
     return as_vector(x0, n).copy()
@@ -222,6 +223,5 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
         x_final=x,
         objective=trace[-1].objective if trace else f_total(x),
         trace=trace,
-        total_time=time.perf_counter() - started,
         iterations=len(trace),
     )

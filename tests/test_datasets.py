@@ -20,6 +20,7 @@ from farsa import (
     scale_pixels,
     write_libsvm,
 )
+from farsa import datasets, linalg
 
 
 def random_dataset(rng, m=None, n=None, empty_rows=True):
@@ -208,6 +209,7 @@ class TestBlockParse:
             "+1 1:-inf",
             "+1 99999999999999999999:1",
             "+1 -99999999999999999999:1",
+            "+1 -9223372036854775808:1",
             "-1 1:1 3:0.5 9:x 2:nan",
         ],
     )
@@ -224,6 +226,32 @@ class TestBlockParse:
         lines = long_prefix[:50] + ["+1 2:1 1:1", "+1 1:1", "yes 1:1"] + long_prefix
         with pytest.raises(DatasetFormatError, match="^line 51: feature indices not strictly"):
             parse_libsvm(lines)
+
+    @pytest.mark.parametrize(
+        "big_index, dtype", [(2**31 + 1, np.int64), (2**31 - 1, np.int32)], ids=["widened", "fits"]
+    )
+    def test_index_dtype_across_blocks(self, big_index, dtype):
+        # the first index beyond int32 (0-based) appears after the first block
+        lines = ["+1 1:0.5 7:1.25"] * 8_000 + [f"-1 3:1 {big_index}:2.5", "+1 2:-1"]
+        assert len(list(datasets._blocks(lines))) > 1
+        ds = parse_libsvm(lines)
+        assert ds.matrix.col_indices.dtype == dtype
+        assert_same_parse(ds, parse_libsvm_scalar(lines))
+
+    def test_one_csr_check_per_block_and_matrix(self, monkeypatch, long_prefix):
+        n_blocks = len(list(datasets._blocks(long_prefix)))
+        assert n_blocks > 1
+        calls = {}
+        for module in (datasets, linalg):
+            check = module.check_csr
+
+            def counted(*args, _check=check, _name=module.__name__):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _check(*args)
+
+            monkeypatch.setattr(module, "check_csr", counted)
+        parse_libsvm(long_prefix)
+        assert calls == {"farsa.datasets": n_blocks, "farsa.linalg": 1}
 
     def test_short_lines_memory_bound(self, tmp_path):
         # tall-shaped: many short rows, so per-row costs show; the bound is

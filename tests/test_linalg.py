@@ -70,14 +70,41 @@ def test_spmv_dimension_mismatch_raises():
 
 
 def test_csr_invariants_enforced():
-    with pytest.raises(ValueError, match="row_offsets"):
-        SparseMatrix(2, 2, [0, 1], [0], [1.0])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0])
-    with pytest.raises(ValueError, match="column index out of range"):
-        SparseMatrix(1, 2, [0, 1], [5], [1.0])
-    with pytest.raises(ValueError, match="strictly increasing within each row"):
-        SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0])
+    nondecreasing = "row_offsets must start at 0 and be nondecreasing"
+    increasing = "column indices must be strictly increasing within each row"
+    non_finite = "matrix values contain non-finite entries"
+    cases = [
+        (lambda: SparseMatrix(-1, 2, [], [], []), "matrix dimensions must be nonnegative"),
+        (lambda: SparseMatrix(2, -3, [0, 0, 0], [], []), "matrix dimensions must be nonnegative"),
+        (
+            lambda: SparseMatrix(2, 2, [0, 1], [0], [1.0]),
+            "row_offsets must have length n_rows+1=3, got 2",
+        ),
+        (lambda: SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0]), nondecreasing),
+        (lambda: SparseMatrix(1, 2, [1, 1], [], []), nondecreasing),
+        # runs past nnz mid-array: must raise before any scan reads cols[0:5]
+        (lambda: SparseMatrix(2, 3, [0, 5, 2], [0, 1], [1.0, 2.0]), nondecreasing),
+        (
+            lambda: SparseMatrix(1, 3, [0, 1], [0, 1], [1.0, 2.0]),
+            "inconsistent nnz: row_offsets end 1, 2 column indices, 2 values",
+        ),
+        (
+            lambda: SparseMatrix(1, 3, [0, 2], [0, 1], [1.0]),
+            "inconsistent nnz: row_offsets end 2, 2 column indices, 1 values",
+        ),
+        (lambda: SparseMatrix(1, 2, [0, 1], [5], [1.0]), "column index out of range [0, 2)"),
+        (lambda: SparseMatrix(1, 2, [0, 1], [-1], [1.0]), "column index out of range [0, 2)"),
+        (lambda: SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0]), increasing),
+        (lambda: SparseMatrix(2, 3, [0, 1, 3], [0, 2, 1], [1.0, 2.0, 3.0]), increasing),
+        (lambda: SparseMatrix(1, 3, [0, 2], [2, 1], [np.nan, 2.0]), increasing),
+        (lambda: SparseMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, np.inf]), non_finite),
+        (lambda: SparseMatrix.from_dense([1.0, 2.0, 3.0]), "expected a 2-d array, got shape (3,)"),
+        (lambda: SparseMatrix.from_dense([[1.0, 0.0], [0.0, np.nan]]), non_finite),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
     # equal column indices are fine across a row boundary
     SparseMatrix(2, 3, [0, 1, 2], [1, 1], [1.0, 2.0])
 

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from farsa import (
     IterationType,
+    LogisticObjective,
     QuadraticObjective,
+    SparseMatrix,
     SolverConfig,
     SolveStatus,
     ista_solve,
@@ -314,6 +316,19 @@ class TestBoundaryChecks:
     def test_bad_gradient_rejected(self, run, grad, message):
         with pytest.raises(ValueError, match=message):
             run(UncheckedOracle(grad), None)
+
+    @pytest.mark.parametrize("run", SOLVERS)
+    @pytest.mark.parametrize(
+        "make_oracle",
+        [
+            lambda: QuadraticObjective(np.array([]), np.array([])),
+            lambda: LogisticObjective(SparseMatrix(2, 0, [0, 0, 0], [], []), [1.0, -1.0]),
+        ],
+        ids=["quadratic", "logistic"],
+    )
+    def test_problem_without_variables_rejected(self, run, make_oracle):
+        with pytest.raises(ValueError, match="no variables"):
+            run(make_oracle(), None)
 
     def test_vectors_checked_once_per_gradient_and_never_below(self, monkeypatch):
         oracle, lam = random_logistic_problem(np.random.default_rng(0), 60, 20)
