@@ -136,8 +136,11 @@ def _parse_block(lines: list[str], normalize_labels: bool) -> tuple[np.ndarray, 
     # -2**63 wraps to 2**63 - 1 and so lands out of range
     width = int(cols.max()) if cols.size else 0
     cols -= 1
+    # int32 indices skip scipy's scan and copy; a blind cast would wrap -2**32 into range
+    fits = cols.size and cols.min() >= -_INT32_MAX and max(cols.max(), offsets[-1]) <= _INT32_MAX
+    index = np.int32 if fits else np.int64
     try:
-        check_csr(len(rows), width, offsets, cols, values)
+        check_csr(len(rows), width, offsets.astype(index), cols.astype(index), values)
     except ValueError:
         return None
     return labels, offsets, cols, values

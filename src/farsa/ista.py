@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vector, dot
 from .objectives import ObjectiveOracle
 from .optimality import is_optimal, optimality_measures
 from .solver import SolveReport, SolveStatus, _initial_point
@@ -81,7 +81,7 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
         while True:
             x_next = shrink(x - t * grad, t * lam)
             diff = x_next - x
-            bound = f_x + float(grad @ diff) + float(diff @ diff) / (2.0 * t)
+            bound = f_x + dot(grad, diff) + dot(diff, diff) / (2.0 * t)
             f_next = oracle.value(x_next)
             if f_next <= bound + slack:
                 break

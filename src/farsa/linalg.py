@@ -1,7 +1,10 @@
 """Dense-vector and sparse-matrix kernels shared by the solver modules.
 
 Vectors are finite 1-d ``numpy.float64`` arrays; index sets are sorted,
-duplicate-free and in range.  Only ``as_vector`` (the boundary's check) and
+duplicate-free and in range.  ``dot`` owns the summation order of every
+reduction: each dot product and norm in the package is ``dot``, which sums
+pairwise in numpy's fixed order and never calls BLAS, so no iterate depends
+on the BLAS thread count.  Only ``as_vector`` (the boundary's check) and
 ``check_csr``, the one definition of a valid matrix that the constructor and
 the LIBSVM parser share, check; the products and slices trust their inputs.
 
@@ -26,6 +29,7 @@ __all__ = [
     "SparseMatrix",
     "as_vector",
     "check_csr",
+    "dot",
     "spmv",
     "spmv_transpose",
 ]
@@ -41,6 +45,11 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum(a * b)`` by numpy's pairwise summation, the same on any thread count."""
+    return float(np.add.reduce(a * b))
 
 
 def check_csr(n_rows: int, n_cols: int, offsets, cols, values) -> sp.csr_matrix:

@@ -30,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import dot
+
 __all__ = [
     "LineSearchError",
     "PhiOutcome",
@@ -183,7 +185,7 @@ def linesearch_phi(
     and shorter steps along the same ray keep them.  Raises LineSearchError
     as ``_accept`` does.
     """
-    slope = float(grad_total_reduced @ d[indices])
+    slope = dot(grad_total_reduced, d[indices])
     f_x = f_total(x)
     sign_x = np.sign(x)
 
@@ -214,4 +216,4 @@ def linesearch_beta(f_total: Objective, x: np.ndarray, d: np.ndarray) -> SearchR
     F(x + XI^j d) <= F(x) - ETA * XI^j * ||d||^2 + noise.  Raises
     LineSearchError as ``_accept`` does.
     """
-    return _armijo(f_total, f_total(x), x, d, -float(d @ d), 0)
+    return _armijo(f_total, f_total(x), x, d, -dot(d, d), 0)

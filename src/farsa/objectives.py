@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .linalg import SparseMatrix, as_vector, spmv, spmv_transpose
+from .linalg import SparseMatrix, as_vector, dot, spmv, spmv_transpose
 
 __all__ = [
     "ObjectiveOracle",
@@ -154,7 +154,7 @@ class QuadraticObjective(ObjectiveOracle):
         return self.diag.shape[0]
 
     def value(self, x) -> float:
-        return float(0.5 * x @ (self.diag * x) + self.linear @ x)
+        return 0.5 * dot(x, self.diag * x) + dot(self.linear, x)
 
     def gradient(self, x) -> np.ndarray:
         return self.diag * x + self.linear

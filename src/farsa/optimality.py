@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import dot
+
 __all__ = [
     "OptimalityPair",
     "optimality_measures",
@@ -72,13 +74,11 @@ def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> Optimali
     measure = -ista_step(x, grad, lam)
     beta = np.where(x == 0.0, measure, 0.0)
     phi = measure - beta  # exact: measure - measure is 0.0 on the zeros
-    # sqrt(v.dot(v)) is what np.linalg.norm computes for a real vector,
-    # without its per-call dispatch
     return OptimalityPair(
         beta=beta,
         phi=phi,
-        beta_norm=math.sqrt(beta.dot(beta)),
-        phi_norm=math.sqrt(phi.dot(phi)),
+        beta_norm=math.sqrt(dot(beta, beta)),
+        phi_norm=math.sqrt(dot(phi, phi)),
     )
 
 

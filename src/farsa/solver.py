@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import as_vector, dot
 from .linesearch import LineSearchError, PhiOutcome, linesearch_beta, linesearch_phi
 from .objectives import ObjectiveOracle
 from .optimality import is_optimal, optimality_measures
@@ -188,7 +188,7 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
                 beta_reduced = pair.beta[indices]
                 scale = _clamp(last_beta_step_norm, 1e-5, 1.0)
                 d = np.zeros_like(x)
-                d[indices] = -scale * beta_reduced / np.linalg.norm(beta_reduced)
+                d[indices] = -scale * beta_reduced / math.sqrt(dot(beta_reduced, beta_reduced))
                 result = linesearch_beta(f_total, x, d)
                 kind = IterationType.BETA
                 cg_iterations = 0
@@ -198,7 +198,8 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
             break
         if not np.isfinite(result.value):
             raise ArithmeticError(f"objective became non-finite at iteration {len(trace)}")
-        step_norm = float(np.linalg.norm(result.next_x - x))
+        step = result.next_x - x
+        step_norm = math.sqrt(dot(step, step))
         if kind is IterationType.BETA:
             last_beta_step_norm = step_norm
         else:

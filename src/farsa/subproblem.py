@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import dot
+
 __all__ = [
     "CgOutcome",
     "CgStopReason",
@@ -70,28 +72,23 @@ def cg_solve(
     Because CG iterate norms grow monotonically from d = 0, the step-norm
     rule acts as an implicit trust region.  Exhausting the iteration cap
     returns MAX_ITERATIONS with the last iterate.
-
-    Each iteration takes one residual dot product r @ r for both ||r|| and
-    the next direction.  Norms are sqrt(v @ v), which is what
-    np.linalg.norm computes for a real vector, without its dispatch.
     """
     d = np.zeros(g.shape[0])
     r = -g  # residual b - H d for b = -g
-    rs_old = float(r @ r)
+    rs_old = dot(r, r)
     r_norm = math.sqrt(rs_old)
     residual_target = max(RESIDUAL_REDUCTION * r_norm, RESIDUAL_FLOOR)
     violation_threshold = max(1e3, 1e-1 * g.size)
 
     x_signs = np.sign(x_restricted)
     p = r.copy()
-    iterations = 0
     for j in range(1, g.size + 1):
         hp = hvp(p)
         if hp.shape != p.shape:
             raise ValueError(
                 f"Hessian product returned shape {hp.shape}, expected {p.shape}"
             )
-        curvature = float(p @ hp)
+        curvature = dot(p, hp)
         if curvature <= 0.0:
             raise ArithmeticError(
                 f"oracle not positive definite at CG iteration {j}: p^T H p = {curvature}"
@@ -99,17 +96,16 @@ def cg_solve(
         alpha = rs_old / curvature
         d = d + alpha * p
         r = r - alpha * hp
-        rs_new = float(r @ r)
+        rs_new = dot(r, r)
         r_norm = math.sqrt(rs_new)
         if not math.isfinite(r_norm):
             raise ArithmeticError(f"non-finite residual at CG iteration {j}")
-        iterations = j
         if r_norm <= residual_target:
             return CgOutcome(d, j, r_norm, CgStopReason.RESIDUAL_REDUCED)
         if _orthant_violations(x_restricted, x_signs, d) >= violation_threshold:
             return CgOutcome(d, j, r_norm, CgStopReason.ORTHANT_VIOLATIONS)
-        if math.sqrt(float(d @ d)) >= step_norm_limit:
+        if math.sqrt(dot(d, d)) >= step_norm_limit:
             return CgOutcome(d, j, r_norm, CgStopReason.STEP_TOO_LARGE)
         p = r + (rs_new / rs_old) * p
         rs_old = rs_new
-    return CgOutcome(d, iterations, r_norm, CgStopReason.MAX_ITERATIONS)
+    return CgOutcome(d, g.size, r_norm, CgStopReason.MAX_ITERATIONS)

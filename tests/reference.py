@@ -96,10 +96,12 @@ def model_decrease(g, d, hvp):
 def reference_direction(g, hvp):
     """Exact minimizer of the model along -g: d = -alpha*g, alpha = ||g||^2 / g^T H g."""
     g = np.asarray(g, dtype=float)
-    curvature = float(g @ hvp(g))
+    # pairwise sums, as the CG solver's reductions are, so the exact
+    # comparisons with its first iterate hold to the last bit
+    curvature = float(np.add.reduce(g * hvp(g)))
     if curvature <= 0.0:
         raise ArithmeticError(f"oracle not positive definite: g^T H g = {curvature}")
-    alpha = float(g @ g) / curvature
+    alpha = float(np.add.reduce(g * g)) / curvature
     return -alpha * g, alpha
 
 

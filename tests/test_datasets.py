@@ -210,6 +210,7 @@ class TestBlockParse:
             "+1 99999999999999999999:1",
             "+1 -99999999999999999999:1",
             "+1 -9223372036854775808:1",
+            "+1 -4294967290:1",
             "-1 1:1 3:0.5 9:x 2:nan",
         ],
     )
@@ -242,16 +243,21 @@ class TestBlockParse:
         n_blocks = len(list(datasets._blocks(long_prefix)))
         assert n_blocks > 1
         calls = {}
+        index_dtypes = set()
         for module in (datasets, linalg):
             check = module.check_csr
 
             def counted(*args, _check=check, _name=module.__name__):
                 calls[_name] = calls.get(_name, 0) + 1
+                if _name == "farsa.datasets":
+                    index_dtypes.update((args[2].dtype, args[3].dtype))
                 return _check(*args)
 
             monkeypatch.setattr(module, "check_csr", counted)
         parse_libsvm(long_prefix)
         assert calls == {"farsa.datasets": n_blocks, "farsa.linalg": 1}
+        # indices that fit reach scipy as int32, which it takes without a copy
+        assert index_dtypes == {np.dtype(np.int32)}
 
     def test_short_lines_memory_bound(self, tmp_path):
         # tall-shaped: many short rows, so per-row costs show; the bound is
