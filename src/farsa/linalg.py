@@ -10,12 +10,19 @@ the LIBSVM parser share, check; the products and slices trust their inputs.
 
 A ``SparseMatrix`` wraps one scipy matrix.  Matrices built through the
 constructor are compressed sparse row (CSR), the layout of LIBSVM rows and
-of ``A @ x``.  Column slices, which the reduced-space Hessian products use,
-come from a column-major (CSC) copy that each matrix builds on its first
-slice and keeps; the slices stay CSC.  Transposed products use a view of
-the same arrays, created once per matrix.  Both forms give bitwise the same
-products (see ``SparseMatrix``), so which one a matrix holds never changes
-an iterate.
+of ``A @ x``.  A matrix of at most ``DENSE_MAX_ENTRIES`` entries (rows times
+columns) multiplies and slices a dense copy that it builds on its first
+product or slice, since scipy's per-call dispatch costs more than the
+arithmetic at that size.  Its products are BLAS matrix-vector products
+(gemv), never matrix-matrix ones; they give the same bytes on one and two
+BLAS threads, which ``tests/test_reductions.py`` checks.  A larger
+matrix slices its columns, which the reduced-space Hessian products use,
+from a column-major (CSC) copy built on its first slice and kept; the
+slices stay CSC.  Its transposed products use a view of the same arrays,
+created once per matrix.  A slice keeps the form of the matrix it was cut
+from, so a slice of a larger matrix never reaches the dense form; within one
+form a slice gives bitwise the products of the same columns built through
+the constructor (see ``SparseMatrix``).
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ __all__ = [
     "spmv",
     "spmv_transpose",
 ]
+
+# Matrices with at most this many entries (rows times columns) are held
+# dense for products and slices.
+DENSE_MAX_ENTRIES = 2**15
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
@@ -104,26 +115,41 @@ class SparseMatrix:
     with matching ``values``.  Column indices are strictly increasing within
     each row.
 
-    The matrix holds one scipy matrix and no other copy of its arrays:
-    ``row_offsets``, ``col_indices`` and ``values`` are read-only views of
-    it, with the index dtype scipy picked (int32 whenever the indices fit).
-    The constructor keeps the matrix built by ``check_csr``, the one
-    definition of a valid matrix; float64 values and int32 indices are not copied.
+    The constructor keeps the scipy matrix built by ``check_csr``, the one
+    definition of a valid matrix; float64 values and int32 indices are not
+    copied.  ``row_offsets``, ``col_indices`` and ``values`` are read-only
+    views of its CSR arrays, with the index dtype scipy picked (int32
+    whenever the indices fit).
 
-    ``column_submatrix`` slices a column-major (CSC) copy of the matrix,
-    built on the first call and kept, and returns the slice in CSC form,
-    unchecked: slicing a validated matrix keeps its invariants.  Reading
-    ``row_offsets``, ``col_indices`` or ``values`` of such a slice converts
-    it to CSR on each read.  ``spmv_transpose`` multiplies by a transposed
-    view of the arrays, created on its first call and kept.
+    A matrix of at most ``DENSE_MAX_ENTRIES`` entries also holds one
+    C-contiguous float64 dense copy, built on its first product or slice:
+    ``spmv`` is ``dense @ x``, ``spmv_transpose`` is ``y @ dense``, and
+    ``column_submatrix`` returns a matrix whose dense copy is those columns
+    of it.  Such a slice builds its scipy form (for ``nnz``, the CSR arrays
+    and ``to_dense``) only when one of those is read, by slicing the scipy
+    form of the matrix it was cut from, so stored zeros stay stored.
 
-    Products are delegated to scipy's kernels and are bit-stable on a given
-    platform: output entry ``i`` of ``A @ x`` is accumulated from 0 over
-    the nonzeros of row ``i`` in increasing column order, whether the matrix
-    is held row-major (one running sum per row) or column-major (a scatter
-    over the columns in order), and likewise for ``A.T @ y`` over the rows
-    of each column.  So a column slice gives bitwise the same products as
-    the same columns built through the constructor.
+    A larger matrix holds no dense copy.  ``column_submatrix`` slices a
+    column-major (CSC) copy, built on the first call and kept, and returns
+    the slice in CSC form, unchecked: slicing a validated matrix keeps its
+    invariants.  Its CSR arrays are converted once, on the first read.
+    ``spmv_transpose`` multiplies by a transposed view of the arrays,
+    created on its first call and kept.  A slice of a larger matrix stays
+    sparse however few columns it has.
+
+    Products are bit-stable on a given platform.  Sparse products are
+    scipy's kernels: output entry ``i`` of ``A @ x`` is accumulated from 0
+    over the nonzeros of row ``i`` in increasing column order, whether the
+    matrix is held row-major (one running sum per row) or column-major (a
+    scatter over the columns in order), and likewise for ``A.T @ y`` over
+    the rows of each column.  Dense products are one gemv call on a
+    C-contiguous array; a slice's dense copy is the same bytes as the dense
+    copy of those columns built through the constructor.  So a column slice
+    gives bitwise the same products as the same columns built through the
+    constructor whenever both are held in the same form, which fails only
+    for a slice of a larger matrix with at most ``DENSE_MAX_ENTRIES``
+    entries.  The two forms sum in different orders and agree only to
+    rounding.
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
@@ -133,10 +159,28 @@ class SparseMatrix:
         offsets, cols = _index_array(row_offsets), _index_array(col_indices)
         values = np.ascontiguousarray(values, dtype=np.float64)
         self._matrix = check_csr(n_rows, n_cols, offsets, cols, values)
+        self._shape = (n_rows, n_cols)
+
+    @cached_property
+    def _matrix(self):
+        # set by the constructor and by sparse slices; a dense slice cuts its
+        # scipy form from its source matrix's on first read
+        source, indices = self._source
+        return source._matrix[:, indices]
+
+    @cached_property
+    def _dense(self) -> np.ndarray | None:
+        # slices set this when cut; a constructed matrix decides by its size
+        n_rows, n_cols = self._shape
+        return self._matrix.toarray() if n_rows * n_cols <= DENSE_MAX_ENTRIES else None
 
     @cached_property
     def _csc(self):
         return self._matrix.tocsc()
+
+    @cached_property
+    def _csr(self):
+        return self._matrix.tocsr()
 
     @cached_property
     def _transpose(self):
@@ -144,15 +188,15 @@ class SparseMatrix:
 
     @property
     def n_rows(self) -> int:
-        return self._matrix.shape[0]
+        return self.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self._matrix.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._matrix.shape
+        return self._shape
 
     @property
     def nnz(self) -> int:
@@ -160,15 +204,15 @@ class SparseMatrix:
 
     @property
     def row_offsets(self) -> np.ndarray:
-        return _read_only(self._matrix.tocsr().indptr)
+        return _read_only(self._csr.indptr)
 
     @property
     def col_indices(self) -> np.ndarray:
-        return _read_only(self._matrix.tocsr().indices)
+        return _read_only(self._csr.indices)
 
     @property
     def values(self) -> np.ndarray:
-        return _read_only(self._matrix.tocsr().data)
+        return _read_only(self._csr.data)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMatrix":
@@ -184,7 +228,12 @@ class SparseMatrix:
     def column_submatrix(self, indices) -> "SparseMatrix":
         """Restrict to ``indices``: sorted, duplicate-free and in range, unchecked."""
         sub = SparseMatrix.__new__(SparseMatrix)
-        sub._matrix = self._csc[:, indices]
+        sub._shape = (self._shape[0], len(indices))
+        dense = self._dense
+        if dense is None:
+            sub._matrix, sub._dense = self._csc[:, indices], None
+        else:
+            sub._source, sub._dense = (self, indices), dense.take(indices, axis=1)
         return sub
 
     def __repr__(self) -> str:
@@ -193,9 +242,11 @@ class SparseMatrix:
 
 def spmv(matrix: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Return ``A @ x``; ``x`` is a finite float64 vector of length n_cols."""
-    return matrix._matrix @ x
+    dense = matrix._dense
+    return matrix._matrix @ x if dense is None else dense @ x
 
 
 def spmv_transpose(matrix: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Return ``A.T @ x``; ``x`` is a finite float64 vector of length n_rows."""
-    return matrix._transpose @ x
+    dense = matrix._dense
+    return matrix._transpose @ x if dense is None else x @ dense

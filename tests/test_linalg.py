@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from farsa import SparseMatrix
-from farsa.linalg import spmv, spmv_transpose
+from farsa.linalg import DENSE_MAX_ENTRIES, spmv, spmv_transpose
 from reference import dense_matvec, dense_matvec_transpose, random_sparse_dense
 
 
@@ -61,7 +62,7 @@ def test_adjoint_identity():
 
 
 def test_spmv_dimension_mismatch_raises():
-    # the kernels do not check lengths; scipy's products do
+    # the kernels do not check lengths; scipy's and numpy's products do
     a = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
     with pytest.raises(ValueError):
         spmv(a, np.ones(3))
@@ -141,11 +142,14 @@ def test_column_submatrix_matches_dense_slice():
 
 
 def test_column_submatrix_products_bitwise_equal_to_built_matrix():
-    # a slice multiplies in column-major form, a built matrix in row-major
-    # form; both sum each output entry in the same order
+    # small matrices: a slice's dense copy is the same bytes as the built
+    # matrix's, and both take one gemv.  Above DENSE_MAX_ENTRIES (every
+    # nonempty slice of the last shape): a slice multiplies in column-major
+    # form, a built matrix in row-major form, and both sum each output entry
+    # in the same order.
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        m, n = rng.integers(1, 40, size=2)
+    shapes = [tuple(rng.integers(1, 40, size=2)) for _ in range(10)]
+    for m, n in shapes + [(DENSE_MAX_ENTRIES + 1, 4)]:
         dense = _dense_with_empty_rows(rng, m, n)
         a = SparseMatrix.from_dense(dense)
         for idx in _index_sets(rng, n):
@@ -197,3 +201,87 @@ def test_matrix_arrays_are_read_only_views():
     assert a.row_offsets.tolist() == [0, 1, 3]
     assert a.col_indices.tolist() == [1, 0, 2]
     assert a.values.tolist() == [4.0, 5.0, 6.0]
+
+
+def _small_with_stored_zeros(rng, m, n):
+    """A matrix of random shape with empty rows and columns and stored zeros."""
+    dense = _dense_with_empty_rows(rng, m, n)
+    dense[:, rng.random(n) < 0.2] = 0.0
+    csr = sp.csr_matrix(dense)
+    csr.data[rng.random(csr.nnz) < 0.1] = 0.0
+    return csr
+
+
+def test_dense_products_match_scipy_to_rounding():
+    # gemv sums in another order than scipy's kernels: compare each entry
+    # against the sum of the magnitudes of its terms
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        m, n = rng.integers(1, 120, size=2)
+        csr = _small_with_stored_zeros(rng, m, n)
+        a = SparseMatrix(m, n, csr.indptr, csr.indices, csr.data)
+        x, y = rng.normal(size=n), rng.normal(size=m)
+        magnitude = np.abs(csr.toarray())
+        assert np.all(np.abs(spmv(a, x) - csr @ x) <= 1e-13 * (magnitude @ np.abs(x)))
+        assert np.all(
+            np.abs(spmv_transpose(a, y) - csr.T @ y) <= 1e-13 * (np.abs(y) @ magnitude)
+        )
+
+
+def test_dense_slices_keep_the_scipy_arrays():
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        m, n = rng.integers(1, 60, size=2)
+        csr = _small_with_stored_zeros(rng, m, n)
+        a = SparseMatrix(m, n, csr.indptr, csr.indices, csr.data)
+        for idx in _index_sets(rng, n):
+            sub = a.column_submatrix(idx)
+            inner = np.flatnonzero(rng.random(idx.size) < 0.5)
+            for got, want in [
+                (sub, csr.tocsc()[:, idx].tocsr()),
+                (sub.column_submatrix(inner), csr.tocsc()[:, idx[inner]].tocsr()),
+            ]:
+                assert got.shape == want.shape
+                assert got.nnz == want.nnz
+                assert np.array_equal(got.to_dense(), want.toarray())
+                assert np.array_equal(got.row_offsets, want.indptr)
+                assert np.array_equal(got.col_indices, want.indices)
+                assert np.array_equal(got.values, want.data)
+
+
+def test_matrix_above_threshold_keeps_scipy_products():
+    rng = np.random.default_rng(15)
+    m, n = 99, 331
+    assert m * n == DENSE_MAX_ENTRIES + 1
+    csr = sp.csr_matrix(random_sparse_dense(rng, m, n, density=0.3))
+    a = SparseMatrix(m, n, csr.indptr, csr.indices, csr.data)
+    x, y = rng.normal(size=n), rng.normal(size=m)
+    assert np.array_equal(spmv(a, x), csr @ x)
+    assert np.array_equal(spmv_transpose(a, y), csr.T @ y)
+    # a slice of a larger matrix stays sparse, however few columns it has
+    idx = np.array([3, 40, 41, 300])
+    sub, csc = a.column_submatrix(idx), csr.tocsc()[:, idx]
+    assert np.array_equal(spmv(sub, x[idx]), csc @ x[idx])
+    assert np.array_equal(spmv_transpose(sub, y), csc.T @ y)
+    assert a._dense is None and sub._dense is None
+
+
+def test_dense_copy_built_on_first_product_and_reused():
+    rng = np.random.default_rng(16)
+    dense = random_sparse_dense(rng, 256, 128)
+    assert dense.size == DENSE_MAX_ENTRIES
+    a = SparseMatrix.from_dense(dense)
+    assert a.shape == (256, 128) and "_dense" not in vars(a)
+    spmv(a, rng.normal(size=128))
+    held = vars(a)["_dense"]
+    assert held.flags.c_contiguous and np.array_equal(held, dense)
+    spmv_transpose(a, rng.normal(size=256))
+    sub = a.column_submatrix(np.arange(0, 128, 3))
+    assert vars(a)["_dense"] is held
+    assert sub._dense.flags.c_contiguous
+    # the dense copy replaces the column-major copy and the transposed view,
+    # and a slice builds its scipy form only when read
+    assert not {"_csc", "_transpose"} & set(vars(a))
+    assert "_matrix" not in vars(sub)
+    spmv(sub, rng.normal(size=sub.n_cols))
+    assert "_matrix" not in vars(sub)

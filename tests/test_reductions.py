@@ -10,32 +10,63 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Solves one seeded logistic problem of 500 x 20,000 (long enough for
-# OpenBLAS to split a dot product across threads) and prints the iteration
-# count and a sha256 over x_final, the objective and every record field but
-# the wall clock.
-_SOLVE_AND_HASH = """
+# Prints a sha256 over x_final, the objective and every record field but the
+# wall clock of each report passed to hash_reports.
+_HASH_REPORTS = """
 import dataclasses, hashlib
 import numpy as np, scipy.sparse as sp
 from farsa import LogisticObjective, SolverConfig, SparseMatrix, solve
 
+def hash_reports(reports):
+    h = hashlib.sha256()
+    for report in reports:
+        h.update(report.x_final.tobytes())
+        h.update(repr(report.objective).encode())
+        for record in report.trace:
+            for field in dataclasses.fields(record):
+                if field.name != "elapsed":
+                    h.update(repr(getattr(record, field.name)).encode())
+    return h.hexdigest()
+"""
+
+# Solves one seeded logistic problem of 500 x 20,000 (long enough for
+# OpenBLAS to split a dot product across threads) and prints the status,
+# the iteration count and the hash.
+_SOLVE_AND_HASH = _HASH_REPORTS + """
 rng = np.random.default_rng(20_000)
 m, n = 500, 20_000
 a = sp.random(m, n, density=0.002, format="csr", random_state=rng)
 labels = np.where(rng.random(m) < 0.5, -1.0, 1.0)
 matrix = SparseMatrix(m, n, a.indptr, a.indices, a.data)
 report = solve(LogisticObjective(matrix, labels), SolverConfig(lam=5.0 / m))
-h = hashlib.sha256(report.x_final.tobytes())
-h.update(repr(report.objective).encode())
-for record in report.trace:
-    for field in dataclasses.fields(record):
-        if field.name != "elapsed":
-            h.update(repr(getattr(record, field.name)).encode())
-print(report.status.value, report.iterations, h.hexdigest())
+print(report.status.value, report.iterations, hash_reports([report]))
+"""
+
+# Solves 20 small seeded logistic problems shaped like the bench's
+# small-batch ones, one of exactly DENSE_MAX_ENTRIES entries and one just
+# above it.  Prints the statuses, which matrices hold a dense copy (and so
+# multiply by BLAS gemv), and the hash.
+_SMALL_SOLVES_AND_HASH = _HASH_REPORTS + """
+rng = np.random.default_rng(2**15)
+shapes = []
+for _ in range(20):
+    n = int(rng.integers(20, 81))
+    shapes.append((n + int(rng.integers(20, 101)), n))
+shapes += [(256, 128), (257, 128)]
+reports, dense_held = [], []
+for m, n in shapes:
+    a = sp.random(m, n, density=0.3, format="csr", random_state=rng)
+    x_true = np.where(rng.random(n) < 0.3, rng.normal(size=n), 0.0)
+    labels = np.where(rng.random(m) < 1.0 / (1.0 + np.exp(-(a @ x_true))), 1.0, -1.0)
+    lam = 0.05 * np.max(np.abs(a.T @ labels))
+    matrix = SparseMatrix(m, n, a.indptr, a.indices, a.data)
+    reports.append(solve(LogisticObjective(matrix, labels), SolverConfig(lam=lam)))
+    dense_held.append(int(matrix._dense is not None))
+print(sorted({r.status.value for r in reports}), dense_held, hash_reports(reports))
 """
 
 
-def _solve_with_threads(threads: int) -> str:
+def _solve_with_threads(script: str, threads: int) -> str:
     env = {
         **os.environ,
         "PYTHONPATH": str(SRC),
@@ -43,7 +74,7 @@ def _solve_with_threads(threads: int) -> str:
         "OMP_NUM_THREADS": str(threads),
     }
     done = subprocess.run(
-        [sys.executable, "-c", _SOLVE_AND_HASH],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
@@ -54,8 +85,14 @@ def _solve_with_threads(threads: int) -> str:
 
 
 def test_iterates_do_not_depend_on_blas_threads():
-    one, two = _solve_with_threads(1), _solve_with_threads(2)
+    one, two = (_solve_with_threads(_SOLVE_AND_HASH, t) for t in (1, 2))
     assert one.startswith("optimal ")
+    assert one == two
+
+
+def test_dense_products_do_not_depend_on_blas_threads():
+    one, two = (_solve_with_threads(_SMALL_SOLVES_AND_HASH, t) for t in (1, 2))
+    assert one.startswith("['optimal'] " + repr([1] * 21 + [0]) + " ")
     assert one == two
 
 
