@@ -15,11 +15,22 @@ first setup builds and later setups reuse, and each slice keeps the
 transposed view its first product creates.  Value, gradient and operator
 call ``spmv``/``spmv_transpose`` through this module's names.
 
-The margins ``y*(A@x)`` feed all three, and a solver asks for them at the
-same point several times: the line search's value at the point it accepts,
-then the next gradient and the next operator setup.  So the logistic oracle
-keeps the margins of the last point it computed them at, and a call at an
-equal point costs an O(n) comparison instead of an O(nnz) product.
+The margins ``t = y*(A@x)`` feed all three, and a solver asks for them at
+the same point several times: the line search's value at the point it
+accepts, then the next gradient and the next operator setup.  So the
+logistic oracle keeps the margins of the last point it computed them at,
+together with ``e = exp(-|t|)``, and a call at an equal point costs an O(n)
+comparison instead of an O(nnz) product and an exponential per sample.
+Every per-sample quantity is formed from ``e`` with no further exponential
+(the newGLMNET scheme of Yuan, Ho & Lin, JMLR 2012):
+
+- loss ``log(1 + exp(-t)) = log1p(e) - min(t, 0)``
+- gradient coefficient ``sigma(-t) = (e if t >= 0 else 1) / (1 + e)``
+- Hessian weight ``sigma(t)*sigma(-t) = e / (1 + e)^2``
+
+None of them overflows, and each keeps its relative accuracy where it is
+tiny: the weight does not cancel for large positive margins as
+``sigma*(1 - sigma)`` does.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from abc import ABC, abstractmethod
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import SparseMatrix, as_vector, dot, spmv, spmv_transpose
 
@@ -74,17 +84,19 @@ class LogisticObjective(ObjectiveOracle):
 
         f(x) = sum_i log(1 + exp(-y_i a_i^T x))
 
-    with rows a_i of the design matrix and labels y_i in {-1, +1}.  Each term
-    is evaluated as log(1+exp(-t)) for t >= 0 and -t + log(1+exp(t))
-    otherwise, so large margins cannot overflow.
+    with rows a_i of the design matrix and labels y_i in {-1, +1}.  With the
+    margins t = y*(A@x) and e = exp(-|t|), the loss, the gradient
+    coefficients sigma(-t) and the Hessian weights sigma(t)*sigma(-t) are
+    all formed from e, as the module docstring shows; one exponential per
+    sample serves all three.
 
     The oracle remembers one entry: a private copy of the last ``x`` whose
-    margins it computed, and those margins.  It matches by value, not by
-    identity, so a caller may mutate its arrays in place.  The memo costs
-    one n-vector and one m-vector per oracle and is never handed to a
-    caller.  A hit reuses what the same product gave, so results are
-    bitwise those of a fresh oracle; ``-0.0`` and ``0.0`` entries compare
-    equal and also give bitwise the same product.
+    margins it computed, those margins and their ``e``.  It matches by
+    value, not by identity, so a caller may mutate its arrays in place.
+    The memo costs one n-vector and two m-vectors per oracle and is never
+    handed to a caller.  A hit reuses what the same product gave, so
+    results are bitwise those of a fresh oracle; ``-0.0`` and ``0.0``
+    entries compare equal and also give bitwise the same product.
     """
 
     def __init__(self, matrix: SparseMatrix, labels):
@@ -100,32 +112,44 @@ class LogisticObjective(ObjectiveOracle):
         self.matrix = matrix
         self.labels = y
         self._memo_x: np.ndarray | None = None
-        self._memo_margins: np.ndarray | None = None
+        self._memo_margins: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.n_cols
 
-    def _margins(self, x) -> np.ndarray:
+    def _margins(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The margins t at ``x`` and e = exp(-|t|)."""
         if self._memo_x is not None and np.array_equal(x, self._memo_x):
             return self._memo_margins
         t = self.labels * spmv(self.matrix, x)
+        e = np.abs(t)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
         self._memo_x = np.array(x, dtype=np.float64)
-        self._memo_margins = t
-        return t
+        self._memo_margins = (t, e)
+        return t, e
 
     def value(self, x) -> float:
-        t = self._margins(x)
-        return float(np.sum(np.logaddexp(0.0, -t)))
+        t, e = self._margins(x)
+        loss = np.log1p(e)
+        loss -= np.minimum(t, 0.0)
+        return float(np.add.reduce(loss))
 
     def gradient(self, x) -> np.ndarray:
-        t = self._margins(x)
-        return -spmv_transpose(self.matrix, self.labels * expit(-t))
+        t, e = self._margins(x)
+        # the numerator, e where t >= 0 and 1 elsewhere, is max(e, t < 0)
+        # since e <= 1; a select by np.where costs several times as much
+        coef = np.maximum(e, t < 0.0)
+        coef /= 1.0 + e
+        coef *= self.labels
+        return -spmv_transpose(self.matrix, coef)
 
     def reduced_hessian_operator(self, x, indices):
-        t = self._margins(x)
-        sig = expit(t)
-        weights = sig * (1.0 - sig)
+        _, e = self._margins(x)
+        weights = 1.0 + e
+        weights *= weights
+        np.divide(e, weights, out=weights)
         sub = self.matrix.column_submatrix(indices)
 
         def apply(v: np.ndarray) -> np.ndarray:

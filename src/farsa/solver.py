@@ -188,7 +188,7 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
                 beta_reduced = pair.beta[indices]
                 scale = _clamp(last_beta_step_norm, 1e-5, 1.0)
                 d = np.zeros_like(x)
-                d[indices] = -scale * beta_reduced / math.sqrt(dot(beta_reduced, beta_reduced))
+                d[indices] = -scale * beta_reduced / pair.beta_norm
                 result = linesearch_beta(f_total, x, d)
                 kind = IterationType.BETA
                 cg_iterations = 0

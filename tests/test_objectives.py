@@ -154,6 +154,58 @@ class TestReducedHessian:
         assert_allclose(out, [2.0 + 1e-8, 4.0 + 1e-8])
 
 
+MARGINS = [
+    sign * t
+    for t in (0.0, 1e-300, 0.5, 5.0, 20.0, 30.0, 37.0, 40.0, 700.0, 745.0)
+    for sign in (1.0, -1.0)
+]
+
+
+def assert_matches_reference(got, expected):
+    """rel 1e-14 where the reference is a normal float; subnormals on that scale."""
+    tiny = np.finfo(np.float64).tiny
+    if abs(expected) >= tiny:
+        assert abs(got - expected) <= 1e-14 * abs(expected), (got, expected)
+    else:
+        assert abs(got - expected) <= 1e-14 * tiny, (got, expected)
+
+
+class TestPerSampleKernels:
+    """Loss, sigma(-t) and sigma(t)*sigma(-t) of a 1x1 problem with margin t."""
+
+    @staticmethod
+    def margin_problem(t):
+        # a = 1 and y = 1, so the margin is exactly x = t
+        return LogisticObjective(SparseMatrix.from_dense([[1.0]]), [1.0]), np.array([t])
+
+    @staticmethod
+    def reference(expression, t):
+        with mpmath.workdps(60):
+            return float(expression(mpmath.mpf(t)))
+
+    @pytest.mark.parametrize("t", MARGINS)
+    def test_loss_term(self, t):
+        obj, x = self.margin_problem(t)
+        expected = self.reference(lambda u: mpmath.log1p(mpmath.exp(-u)), t)
+        assert_matches_reference(obj.value(x), expected)
+
+    @pytest.mark.parametrize("t", MARGINS)
+    def test_gradient_coefficient(self, t):
+        obj, x = self.margin_problem(t)
+        expected = self.reference(lambda u: 1 / (1 + mpmath.exp(u)), t)
+        # gradient = -y * a * sigma(-t)
+        assert_matches_reference(-obj.gradient(x)[0], expected)
+
+    @pytest.mark.parametrize("t", MARGINS)
+    def test_hessian_weight(self, t, monkeypatch):
+        # without the shift, the 1x1 operator applied to 1 is the weight itself
+        monkeypatch.setattr(objectives, "HESSIAN_SHIFT", 0.0)
+        obj, x = self.margin_problem(t)
+        expected = self.reference(lambda u: mpmath.exp(u) / (1 + mpmath.exp(u)) ** 2, t)
+        weight = obj.reduced_hessian_operator(x, np.array([0]))(np.array([1.0]))[0]
+        assert_matches_reference(weight, expected)
+
+
 def oracle_outputs(obj, x, idx, v):
     """value, gradient and one reduced Hessian product at x."""
     return obj.value(x), obj.gradient(x), obj.reduced_hessian_operator(x, idx)(v)
