@@ -10,9 +10,12 @@ For each seed it builds the benchmark's workload (``bench/run.py``),
 solves every problem once with ``bench/tracer.py``'s ``Tracer`` installed,
 and prints the solver's iterations and the calls of
 ``objectives.value``, ``objectives.hessian_product`` and ``linalg.spmv``,
-per seed and in total.  Each solve is checked as the benchmark checks it
-(status OPTIMAL and ``problems.check_solution``); failed solves are listed.
-Nothing under ``bench/`` is changed.
+per seed and in total.  Each seed's row ends in a sha256 over every solve's
+``x_final``, objective and record fields except ``elapsed``, as
+``tests/test_reductions.py`` hashes reports: equal hashes on both sides of
+``--base`` mean bitwise equal results.  Each solve is checked as the
+benchmark checks it (status OPTIMAL and ``problems.check_solution``);
+failed solves are listed.  Nothing under ``bench/`` is changed.
 
 With ``--base`` the revision is extracted as ``scripts/paired_bench.py``
 does (with the working tree's ``bench/``), counted there, and printed
@@ -23,6 +26,8 @@ either side failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import os
 import shutil
 import subprocess
@@ -43,8 +48,21 @@ def parse_seeds(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, list[str]]:
-    """One traced pass over a seed's problems: its counts and failed solves."""
+def hash_reports(reports) -> str:
+    """sha256 over each report's x_final, objective and record fields but the wall clock."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(report.x_final.tobytes())
+        digest.update(repr(report.objective).encode())
+        for record in report.trace:
+            for field in dataclasses.fields(record):
+                if field.name != "elapsed":
+                    digest.update(repr(getattr(record, field.name)).encode())
+    return digest.hexdigest()
+
+
+def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, list[str], str]:
+    """One traced pass over a seed's problems: its counts, failed solves and hash."""
     farsa = run.import_farsa()
     work_dir = run.WORK_DIR / f"counts-{os.getpid()}"
     work_dir.mkdir(parents=True)
@@ -73,7 +91,7 @@ def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, list[str]]
             failed.append(f"seed {seed} problem {index}: {error}")
     for column in COLUMNS:
         counts[column] = tracer.calls[column.removesuffix(".calls")]
-    return counts, failed
+    return counts, failed, hash_reports(report for _, report in results)
 
 
 def print_counts(workload: str, seeds: list[int]) -> int:
@@ -86,12 +104,12 @@ def print_counts(workload: str, seeds: list[int]) -> int:
     failed: list[str] = []
     header = None
     for seed in seeds:
-        counts, seed_failed = seed_counts(run, workload, seed)
+        counts, seed_failed, digest = seed_counts(run, workload, seed)
         if header is None:
             header = list(counts)
             print(f"# {workload} at {ROOT}")
-            print(f"{'seed':<6}" + "".join(f"{name:>34}" for name in header))
-        print(f"{seed:<6}" + "".join(f"{counts[name]:>34,}" for name in header))
+            print(f"{'seed':<6}" + "".join(f"{name:>34}" for name in header) + "  sha256")
+        print(f"{seed:<6}" + "".join(f"{counts[name]:>34,}" for name in header) + f"  {digest}")
         totals.update(counts)
         failed.extend(seed_failed)
     print(f"{'total':<6}" + "".join(f"{totals[name]:>34,}" for name in header))

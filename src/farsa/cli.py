@@ -89,13 +89,18 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="l1 weight (default: 1/number of samples)",
     )
-    parser.add_argument("--max-iter", type=_positive_int, default=1000)
+    parser.add_argument(
+        "--max-iter",
+        type=_positive_int,
+        help=f"iteration budget (default: {SolverConfig.max_iter} farsa, "
+        f"{IstaConfig.max_iter} ista)",
+    )
     parser.add_argument(
         "--time-limit",
         type=_positive_float,
-        default=600.0,
         metavar="SECONDS",
-        help="wall-time budget of each farsa solve (ignored by --solver ista)",
+        help=f"wall-time budget of each farsa solve (default: {SolverConfig.time_limit}; "
+        "ignored by --solver ista)",
     )
     parser.add_argument(
         "--scale",
@@ -119,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one problem and report")
     _add_common_arguments(p_solve)
-    p_solve.add_argument("--epsilon", type=_epsilon, default=1e-6)
+    p_solve.add_argument(
+        "--epsilon", type=_epsilon, help=f"termination tolerance (default: {SolverConfig.epsilon})"
+    )
     p_solve.add_argument(
         "--output", choices=["human", "json", "csv"], default="human"
     )
@@ -164,16 +171,20 @@ def _load(args: argparse.Namespace) -> Dataset:
     return dataset
 
 
-def _run_solver(args, oracle, lam: float, epsilon: float) -> SolveReport:
+def _config(args, lam: float, epsilon: float | None) -> IstaConfig | SolverConfig:
+    """The chosen solver's config from the flags given; the rest keep its defaults."""
+    given = {"epsilon": epsilon, "max_iter": args.max_iter}
+    if args.solver == "farsa":
+        given["time_limit"] = args.time_limit
+    given = {name: value for name, value in given.items() if value is not None}
     if args.solver == "ista":
-        config = IstaConfig(epsilon=epsilon, max_iter=args.max_iter)
+        return IstaConfig(**given)
+    return SolverConfig(lam=lam, **given)
+
+
+def _run_solver(args, oracle, lam: float, config: IstaConfig | SolverConfig) -> SolveReport:
+    if args.solver == "ista":
         return ista_solve(oracle, lam, config)
-    config = SolverConfig(
-        lam=lam,
-        epsilon=epsilon,
-        max_iter=args.max_iter,
-        time_limit=args.time_limit,
-    )
     return solve(oracle, config)
 
 
@@ -217,18 +228,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
     lam = args.lam if args.lam is not None else 1.0 / dataset.n_samples
     oracle = LogisticObjective(dataset.matrix, dataset.labels)
 
+    config = _config(args, lam, args.epsilon)
     times = []
     report = None
     for _ in range(args.repeat):
         start = time.perf_counter()
-        report = _run_solver(args, oracle, lam, args.epsilon)
+        report = _run_solver(args, oracle, lam, config)
         times.append(time.perf_counter() - start)
     mean_time = float(np.mean(times))
 
     if args.trace:
         _write_trace(args.trace, report)
 
-    payload = _report_dict(args, dataset, lam, args.epsilon, report, mean_time)
+    payload = _report_dict(args, dataset, lam, config.epsilon, report, mean_time)
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     elif args.output == "csv":
@@ -239,7 +251,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"dataset        {dataset.name} ({dataset.n_samples} x {dataset.n_features})")
         print(f"solver         {args.solver}")
         print(f"lambda         {lam:.6g}")
-        print(f"epsilon        {args.epsilon:.6g}")
+        print(f"epsilon        {config.epsilon:.6g}")
         print(f"status         {report.status.value}")
         print(f"objective      {report.objective:.12g}")
         print(f"percent zeros  {report.percent_zeros:.1f}")
@@ -269,7 +281,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     failed = False
     for eps in args.tolerances:
         start = time.perf_counter()
-        report = _run_solver(args, oracle, lam, eps)
+        report = _run_solver(args, oracle, lam, _config(args, lam, eps))
         elapsed = time.perf_counter() - start
         writer.writerow(
             [

@@ -2,8 +2,9 @@
 
 Serves as the independent reference for the main solver: it shares the same
 termination measure (max{||beta||, ||phi||} <= epsilon) so final objectives
-are directly comparable.  With unit step the update displacement equals
--(beta + phi), which ties the shrink map to the optimality measures.
+are directly comparable.  It steps with ``optimality.ista_step``, the shrink
+kernel the measures negate: with unit step the displacement is
+-(beta + phi).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 
 from .linalg import as_vector, dot
 from .objectives import ObjectiveOracle
-from .optimality import is_optimal, optimality_measures
+from .optimality import is_optimal, ista_step, optimality_measures
 from .solver import SolveReport, SolveStatus, _initial_point
 
-__all__ = ["IstaConfig", "ista_solve", "shrink"]
+__all__ = ["IstaConfig", "ista_solve"]
 
 _BACKTRACK_FACTOR = 0.5
 _GROWTH_FACTOR = 1.1
@@ -39,17 +40,11 @@ class IstaConfig:
             raise ValueError("max_iter must be nonnegative")
 
 
-def shrink(v: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft threshold, writing exact zeros inside [-threshold, threshold]."""
-    return np.where(
-        v > threshold,
-        v - threshold,
-        np.where(v < -threshold, v + threshold, 0.0),
-    )
-
-
 def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None) -> SolveReport:
-    """Iterate x <- shrink(x - t*grad f(x), t*lam) until optimal.
+    """Iterate x <- x + ista_step(x, t*grad f(x), t*lam) until optimal.
+
+    That step is the soft-threshold update shrink(x - t*grad, t*lam) - x,
+    with exact zeros wherever the threshold zeroes x.
 
     Backtracking halves t until the quadratic upper bound
     f(x+) <= f(x) + grad^T (x+ - x) + ||x+ - x||^2 / (2t) holds, then grows
@@ -79,8 +74,8 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
         # the iteration
         slack = 1e-12 * (1.0 + abs(f_x))
         while True:
-            x_next = shrink(x - t * grad, t * lam)
-            diff = x_next - x
+            diff = ista_step(x, t * grad, t * lam)
+            x_next = x + diff
             bound = f_x + dot(grad, diff) + dot(diff, diff) / (2.0 * t)
             f_next = oracle.value(x_next)
             if f_next <= bound + slack:

@@ -1,14 +1,16 @@
 """Orthant projection and the two backtracking line searches.
 
-Both searches end in one Armijo loop, ``_armijo``: the first j with
+Both searches take the step d and its Armijo slope from the caller (the
+solver builds both) and only backtrack along d.  They end in one Armijo
+loop, ``_armijo``: the first j with
 F(x + XI^j d) <= F(x) + ETA * XI^j * slope + noise.  The beta-search is that
-loop from j = 0 with slope -||d||^2.  The phi-search first backtracks along
-the projected path: while the trial point leaves the orthant of the current
-iterate, plain decrease of the objective is enough (support shrinkage pays
-for itself); once trial points stay in the orthant, it tries the largest
-in-orthant step, then hands off to the Armijo loop at its current j with
-slope g^T d.  Both searches write exact zeros for any component they send
-to zero, so the sign-based bookkeeping elsewhere stays exact.
+loop from j = 0.  The phi-search first backtracks along the projected path:
+while the trial point leaves the orthant of the current iterate, plain
+decrease of the objective is enough (support shrinkage pays for itself);
+once trial points stay in the orthant, it tries the largest in-orthant
+step, then hands off to the Armijo loop at its current j.  Both searches
+write exact zeros for any component they send to zero, so the sign-based
+bookkeeping elsewhere stays exact.
 
 Every trial point goes through ``_accept``: F(y) <= F(x) + change + noise,
 with ``change`` the Armijo term (zero for the plain-decrease test) and
@@ -29,8 +31,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-
-from .linalg import dot
 
 __all__ = [
     "LineSearchError",
@@ -168,24 +168,17 @@ def _armijo(
         j += 1
 
 
-def linesearch_phi(
-    f_total: Objective,
-    x: np.ndarray,
-    d: np.ndarray,
-    indices: np.ndarray,
-    grad_total_reduced: np.ndarray,
-) -> SearchResult:
+def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: float) -> SearchResult:
     """Projected backtracking search for a direction on the current support.
 
     ``f_total`` evaluates the full objective F (smooth part plus l1 term) at
-    a full-space point; ``grad_total_reduced`` is the gradient of F restricted
-    to ``indices`` (smooth inside the orthant), used for the Armijo slope.
-    The outcome is ADD exactly when the step changes the sign pattern of
-    ``x``: Armijo trials start at the first j whose point keeps every sign,
-    and shorter steps along the same ray keep them.  Raises LineSearchError
-    as ``_accept`` does.
+    a full-space point; ``slope`` is the derivative of F along ``d`` inside
+    the orthant of ``x``, for the boundary step's and the Armijo tests.  The
+    outcome is ADD exactly when the step changes the sign pattern of ``x``:
+    Armijo trials start at the first j whose point keeps every sign, and
+    shorter steps along the same ray keep them.  Raises LineSearchError as
+    ``_accept`` does.
     """
-    slope = dot(grad_total_reduced, d[indices])
     f_x = f_total(x)
     sign_x = np.sign(x)
 
@@ -209,11 +202,11 @@ def linesearch_phi(
     return _armijo(f_total, f_x, x, d, slope, j)
 
 
-def linesearch_beta(f_total: Objective, x: np.ndarray, d: np.ndarray) -> SearchResult:
+def linesearch_beta(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: float) -> SearchResult:
     """Armijo backtracking for a direction freeing zero variables.
 
     Returns the first j >= 0 with
-    F(x + XI^j d) <= F(x) - ETA * XI^j * ||d||^2 + noise.  Raises
+    F(x + XI^j d) <= F(x) + ETA * XI^j * slope + noise.  Raises
     LineSearchError as ``_accept`` does.
     """
-    return _armijo(f_total, f_total(x), x, d, -dot(d, d), 0)
+    return _armijo(f_total, f_total(x), x, d, slope, 0)

@@ -6,7 +6,10 @@ Otherwise it takes one of two branches: when ||beta|| <= ||phi|| (the
 paper's gamma fixed at 1) a phi-iteration optimizes over the support of phi
 with reduced Newton-CG and the projected line search; else a beta-iteration
 frees zero variables along a safeguarded scaled direction with Armijo
-backtracking.  Both branches end the same way: the step norm, the new
+backtracking.  Each branch builds its whole step here: the direction d, the
+Armijo slope (g^T d over the support for phi, -||d||^2 for beta) and, from
+the search's outcome, the kind of iteration; the searches only backtrack
+along d.  Both branches end the same way: the step norm, the new
 iterate and one ``IterationRecord``.  Each record's objective, and the
 report's, is the value the line search computed at the point it accepted;
 F is evaluated afresh only for a solve that takes no iteration.
@@ -167,32 +170,26 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
             if pair.beta_norm <= pair.phi_norm:
                 # phi: reduced Newton-CG over the support of phi, projected search
                 indices = np.flatnonzero(pair.phi != 0.0)
-                g_reduced = (grad + config.lam * np.sign(x))[indices]
+                g_reduced = grad[indices] + config.lam * np.sign(x[indices])
                 step_cap = _clamp(last_phi_step_norm, 1e-3, 1e3, scale=10.0)
                 hvp = oracle.reduced_hessian_operator(x, indices)
                 outcome = cg_solve(hvp, g_reduced, x[indices], step_cap)
                 d = np.zeros_like(x)
                 d[indices] = outcome.direction
-                result = linesearch_phi(f_total, x, d, indices, g_reduced)
-                if result.outcome is PhiOutcome.ADD:
-                    kind = IterationType.PHI_ADD
-                else:
-                    kind = IterationType.PHI_SD
+                result = linesearch_phi(f_total, x, d, dot(g_reduced, outcome.direction))
+                kind = IterationType.PHI_ADD if result.outcome is PhiOutcome.ADD else IterationType.PHI_SD
                 cg_iterations = outcome.iterations
                 # free the branch's arrays now, as a function return would:
                 # held into the next iteration they raise a solve's peak memory
                 del indices, g_reduced, hvp, outcome, d
             else:
                 # beta: free zero variables along the safeguarded scaled direction
-                indices = np.flatnonzero(pair.beta != 0.0)
-                beta_reduced = pair.beta[indices]
                 scale = _clamp(last_beta_step_norm, 1e-5, 1.0)
-                d = np.zeros_like(x)
-                d[indices] = -scale * beta_reduced / pair.beta_norm
-                result = linesearch_beta(f_total, x, d)
+                d = np.where(pair.beta != 0.0, -scale * pair.beta / pair.beta_norm, 0.0)
+                result = linesearch_beta(f_total, x, d, -dot(d, d))
                 kind = IterationType.BETA
                 cg_iterations = 0
-                del indices, beta_reduced, d
+                del d
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break

@@ -13,7 +13,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from farsa import Dataset, IterationRecord, SparseMatrix, write_libsvm
+from farsa import Dataset, IstaConfig, IterationRecord, SolverConfig, SparseMatrix, write_libsvm
+from farsa import cli
 from farsa.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +197,43 @@ class TestSolveCommand:
         payload = json.loads(out)
         assert payload["repeats"] == 3
         assert payload["time_seconds"] > 0
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        """The config of each solve the CLI runs, keyed by solver."""
+        seen = {}
+
+        def capture(name, real):
+            def wrapper(*args):
+                seen[name] = args[-1]
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "solve", capture("farsa", cli.solve))
+        monkeypatch.setattr(cli, "ista_solve", capture("ista", cli.ista_solve))
+        return seen
+
+    def test_unset_flags_keep_the_config_defaults(self, capsys, small_problem, configs):
+        for solver in ("farsa", "ista"):
+            code, out, _ = run_cli(
+                capsys, ["solve", "--data", small_problem, "--solver", solver, "--output", "json"]
+            )
+            assert code == 0
+            assert json.loads(out)["epsilon"] == configs[solver].epsilon
+        assert configs["ista"] == IstaConfig()
+        assert configs["farsa"] == SolverConfig(lam=1.0 / 40.0)
+
+    def test_given_flags_reach_the_config(self, capsys, small_problem, configs):
+        flags = ["--epsilon", "1e-3", "--max-iter", "7", "--time-limit", "5"]
+        code, out, _ = run_cli(capsys, ["solve", "--data", small_problem, *flags])
+        assert code == 0
+        assert "epsilon        0.001" in out
+        assert configs["farsa"] == SolverConfig(
+            lam=1.0 / 40.0, epsilon=1e-3, max_iter=7, time_limit=5.0
+        )
+        run_cli(capsys, ["solve", "--data", small_problem, "--solver", "ista", *flags])
+        assert configs["ista"] == IstaConfig(epsilon=1e-3, max_iter=7)
 
     def test_minus1_1_scale_flag(self, capsys, small_problem):
         code, out, _ = run_cli(

@@ -1,4 +1,4 @@
-"""Proximal-gradient baseline: shrink map, fixed points, and agreement."""
+"""Proximal-gradient baseline: its step kernel, fixed points, and agreement."""
 
 import math
 
@@ -7,26 +7,41 @@ import pytest
 from numpy.testing import assert_allclose
 
 from farsa import IstaConfig, QuadraticObjective, SolveStatus, ista_solve
-from farsa.ista import shrink
 from farsa.optimality import ista_step, optimality_measures
 from problems import quadratic_l1_minimizer, random_quadratic
+from reference import shrink_step_scalar
 
 
-class TestShrink:
-    def test_inner_region_collapses_to_exact_zero(self):
-        out = shrink(np.array([0.5, -0.3, 0.0]), 1.0)
+def ista_update(x, g, t, lam):
+    """ISTA's update x + ista_step(x, t*g, t*lam), its step checked bitwise
+    against the scalar transcription."""
+    x, g = np.array(x), np.array(g)
+    step = ista_step(x, t * g, t * lam)
+    assert np.array_equal(step, shrink_step_scalar(x, t * g, t * lam))
+    return x + step
+
+
+@pytest.mark.parametrize("t", [0.5, 2.5])
+class TestIstaUpdate:
+    def test_inner_region_collapses_to_exact_zero(self, t):
+        # |x - t*g| <= t*lam in every component
+        out = ista_update([0.5, -0.3, 0.0], [0.2, -0.1, 0.3], t, 1.0)
         assert np.all(out == 0.0)
 
-    def test_outer_regions_shift_by_threshold(self):
-        assert_allclose(shrink(np.array([2.0, -2.0]), 0.5), [1.5, -1.5])
+    def test_outer_regions_shift_by_threshold(self, t):
+        x, g, lam = np.array([2.0, -2.0]), np.array([-0.5, 0.25]), 0.2
+        u = x - t * g
+        out = ista_update(x, g, t, lam)
+        assert_allclose(out, u - np.sign(u) * t * lam)
+        assert np.all(np.sign(out) == np.sign(u))
 
-    def test_fixed_point_only_at_zero_when_gradient_vanishes(self):
-        # t=1, grad=0: any |x_i| <= lam maps to 0, so x is fixed only if 0
+    def test_fixed_point_only_at_zero_when_gradient_vanishes(self, t):
+        # grad=0: any |x_i| <= t*lam maps to 0, so x is fixed only if 0
         x = np.array([0.4, -0.9])
-        out = shrink(x - 0.0, 1.0)
+        out = ista_update(x, np.zeros(2), t, 2.0)
         assert np.all(out == 0.0)
         assert not np.array_equal(out, x)
-        assert np.array_equal(shrink(np.zeros(2), 1.0), np.zeros(2))
+        assert np.array_equal(ista_update(np.zeros(2), np.zeros(2), t, 2.0), np.zeros(2))
 
 
 class TestIstaSolve:
@@ -35,17 +50,6 @@ class TestIstaSolve:
         report = ista_solve(obj, 1.0, IstaConfig(epsilon=1e-10))
         assert report.status is SolveStatus.OPTIMAL
         assert_allclose(report.x_final, [2.0], atol=1e-9)
-
-    def test_unit_step_update_equals_measure_displacement(self):
-        # x+ = x + s with s = -(beta + phi) from the measures module
-        rng = np.random.default_rng(40)
-        obj, lam = random_quadratic(rng, 10)
-        x = rng.normal(size=10)
-        x[rng.random(10) < 0.3] = 0.0
-        grad = obj.gradient(x)
-        via_shrink = shrink(x - grad, lam)
-        via_measures = x + ista_step(x, grad, lam)
-        assert_allclose(via_shrink, via_measures, atol=1e-14)
 
     def test_monotone_descent_under_backtracking(self):
         rng = np.random.default_rng(41)
@@ -70,12 +74,12 @@ class TestIstaSolve:
         x_star = quadratic_l1_minimizer(obj, lam)
         grad = obj.gradient(x_star)
         pair = optimality_measures(x_star, grad, lam)
-        moved = shrink(x_star - grad, lam)
+        moved = x_star + ista_step(x_star, grad, lam)
         if pair.max_norm <= 1e-12:
             assert_allclose(moved, x_star, atol=1e-12)
         # and a non-stationary point must move
         x = x_star + 1.0
-        assert not np.allclose(shrink(x - obj.gradient(x), lam), x)
+        assert not np.allclose(x + ista_step(x, obj.gradient(x), lam), x)
 
     def test_matches_closed_form_on_random_quadratics(self):
         rng = np.random.default_rng(43)

@@ -67,7 +67,7 @@ class TestPhiSearch:
         x = np.array([1.0])
         d = np.array([2.0])
         grad_reduced = np.array([-2.0])
-        res = linesearch_phi(f, x, d, [0], grad_reduced)
+        res = linesearch_phi(f, x, d, grad_reduced @ d)
         assert res.outcome is PhiOutcome.SUFFICIENT_DECREASE
         assert res.step_size == 1.0
         assert res.backtracks == 0
@@ -77,7 +77,7 @@ class TestPhiSearch:
         f = lambda z: float(z[0] ** 2)
         x = np.array([1.0])
         d = np.array([-2.0])
-        res = linesearch_phi(f, x, d, [0], np.array([2.0 * x[0]]))
+        res = linesearch_phi(f, x, d, np.array([2.0 * x[0]]) @ d)
         assert res.outcome is PhiOutcome.ADD
         assert res.next_x[0] == 0.0
         assert res.backtracks == 0
@@ -91,7 +91,7 @@ class TestPhiSearch:
         x = np.array([1.0, 1.0])
         d = np.array([-1.6, -0.5])
         grad_reduced = a @ x + b
-        res = linesearch_phi(f, x, d, [0, 1], grad_reduced)
+        res = linesearch_phi(f, x, d, grad_reduced @ d)
         assert res.outcome is PhiOutcome.ADD
         assert res.step_size == pytest.approx(0.625)
         assert res.next_x[0] == 0.0
@@ -107,7 +107,7 @@ class TestPhiSearch:
         x = np.array([1.0, 1.0])
         d = np.array([-1.6, -0.5])
         grad_reduced = a @ x + b
-        res = linesearch_phi(f, x, d, [0, 1], grad_reduced)
+        res = linesearch_phi(f, x, d, grad_reduced @ d)
         assert res.outcome is PhiOutcome.SUFFICIENT_DECREASE
         assert res.step_size == 0.25
         assert_allclose(res.next_x, [0.6, 0.875])
@@ -127,7 +127,7 @@ class TestPhiSearch:
             x[x == 0.0] = 1.0
             d = rng.normal(scale=2.0, size=n)
             grad = diag * (x - target)
-            res = linesearch_phi(f, x, d, np.arange(n), grad)
+            res = linesearch_phi(f, x, d, grad @ d)
             assert f(res.next_x) <= f(x) + 1e-12  # monotone
             assert res.value == f(res.next_x)
             if res.outcome is PhiOutcome.ADD:
@@ -149,14 +149,15 @@ class TestPhiSearch:
         f = lambda z: 0.0 if np.array_equal(z, x) else 1.0
         d = np.array([1.0])
         with pytest.raises(LineSearchError, match="line search failed"):
-            linesearch_phi(f, x, d, [0], np.array([-10.0]))
+            linesearch_phi(f, x, d, np.array([-10.0]) @ d)
 
 
 class TestBetaSearch:
     def test_full_step_accepted_when_curvature_small(self):
         # f(z) = 0.5 z^2 - 3z + |z| at x=0 with the freeing step d = 2
         f = lambda z: 0.5 * z[0] ** 2 - 3.0 * z[0] + abs(z[0])
-        res = linesearch_beta(f, np.array([0.0]), np.array([2.0]))
+        d = np.array([2.0])
+        res = linesearch_beta(f, np.array([0.0]), d, -(d @ d))
         assert res.backtracks == 0
         assert res.step_size == 1.0
         assert_allclose(res.next_x, [2.0])
@@ -166,7 +167,8 @@ class TestBetaSearch:
         # f(z) = 5 z^2 - z along d=1 from 0: descent condition first holds
         # at step 0.125 (j = 3)
         f = lambda z: 5.0 * z[0] ** 2 - z[0]
-        res = linesearch_beta(f, np.array([0.0]), np.array([1.0]))
+        d = np.array([1.0])
+        res = linesearch_beta(f, np.array([0.0]), d, -(d @ d))
         assert res.backtracks == 3
         assert res.step_size == 0.125
 
@@ -175,16 +177,18 @@ class TestBetaSearch:
         # along d (up to a bump rounding cannot hide) must exhaust the budget
         x = np.zeros(2)
         f = lambda z: 0.0 if np.array_equal(z, x) else 1e-3
+        d = np.array([1.0, 0.0])
         with pytest.raises(LineSearchError, match="line search failed"):
-            linesearch_beta(f, x, np.array([1.0, 0.0]))
+            linesearch_beta(f, x, d, -(d @ d))
 
     def test_step_too_short_to_move_raises(self):
         # x + d rounds back to x: the search must report the null step, not
         # return it as accepted
         f = lambda z: -z[0]
         x = np.array([1.0])
+        d = np.array([1e-17])
         with pytest.raises(LineSearchError, match="does not move the iterate"):
-            linesearch_beta(f, x, np.array([1e-17]))
+            linesearch_beta(f, x, d, -(d @ d))
 
     def test_monotone_descent(self):
         rng = np.random.default_rng(35)
@@ -197,7 +201,7 @@ class TestBetaSearch:
             d = -np.sign(c) * rng.uniform(0.1, 1.0)
             if np.all(d * c >= 0):  # ensure descent direction
                 d = -c
-            res = linesearch_beta(f, x, d)
+            res = linesearch_beta(f, x, d, -(d @ d))
             assert f(res.next_x) <= f(x)
 
     def test_accepted_step_bounded_below_by_curvature(self):
@@ -211,5 +215,18 @@ class TestBetaSearch:
             c = rng.normal(size=n) * 3.0
             f = lambda z: 0.5 * float(z @ (diag * z)) + float(c @ z)
             d = -c  # steepest descent from the origin
-            res = linesearch_beta(f, np.zeros(n), d)
+            res = linesearch_beta(f, np.zeros(n), d, -(d @ d))
             assert res.step_size >= min(1.0, XI / lipschitz)
+
+
+@pytest.mark.parametrize("search", [linesearch_phi, linesearch_beta])
+def test_the_given_slope_sets_the_accepted_step(search):
+    # f(z) = 5 (z-1)^2 - (z-1) along d = 1 from x = 1, a ray inside the
+    # orthant: the true slope -1 accepts at j = 3, a steeper slope -40 asks
+    # for more decrease and accepts at j = 4
+    f = lambda z: 5.0 * (z[0] - 1.0) ** 2 - (z[0] - 1.0)
+    x = np.array([1.0])
+    d = np.array([1.0])
+    assert search(f, x, d, -1.0).backtracks == 3
+    steeper = search(f, x, d, -40.0)
+    assert (steeper.backtracks, steeper.step_size) == (4, 0.0625)
