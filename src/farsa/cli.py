@@ -12,9 +12,9 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
+from collections.abc import Callable
 from enum import Enum
 
 import numpy as np
@@ -29,18 +29,11 @@ from .datasets import (
 )
 from .ista import IstaConfig, ista_solve
 from .objectives import LogisticObjective
-from .solver import IterationRecord, SolveReport, SolverConfig, SolveStatus, solve
+from .solver import IterationRecord, SolveReport, SolverConfig, SolveStatus, _check_positive, solve
 
 __all__ = ["main", "run", "build_parser"]
 
 DEFAULT_TOLERANCES = "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6"
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r}: must be positive and finite")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -50,14 +43,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _epsilon(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r}: not a number") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("epsilon must be positive and finite")
-    return value
+def _positive_float(name: str) -> Callable[[str], float]:
+    """The argparse type of a float flag: a number that ``_check_positive``
+    accepts, named ``name`` in its message."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r}: not a number") from None
+        try:
+            return _check_positive(name, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_epsilon = _positive_float("epsilon")
 
 
 def _tolerances(text: str) -> list[float]:
@@ -68,13 +71,14 @@ def _tolerances(text: str) -> list[float]:
     return tolerances
 
 
-def _scale_mode(text: str) -> str:
+def _scale_mode(text: str) -> tuple[str, int | None]:
+    """(mode, bits): ("none", None), ("minus1-1", None) or ("pixels", bits)."""
     if text in ("none", "minus1-1"):
-        return text
+        return text, None
     if text.startswith("pixels:"):
         bits = text.removeprefix("pixels:")
         if bits.isdigit() and int(bits) > 0:
-            return text
+            return "pixels", int(bits)
     raise argparse.ArgumentTypeError(
         f"{text!r}: expected one of none, minus1-1, pixels:<bits>"
     )
@@ -85,7 +89,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lambda",
         dest="lam",
-        type=_positive_float,
+        type=_positive_float("lambda"),
         default=None,
         help="l1 weight (default: 1/number of samples)",
     )
@@ -97,7 +101,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--time-limit",
-        type=_positive_float,
+        type=_positive_float("time-limit"),
         metavar="SECONDS",
         help=f"wall-time budget of each farsa solve (default: {SolverConfig.time_limit}; "
         "ignored by --solver ista)",
@@ -155,37 +159,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> Dataset:
-    if args.scale.startswith("pixels:"):
-        bits = int(args.scale.removeprefix("pixels:"))
-        dataset = load_dataset(args.data, normalize_labels=False)
-        dataset = Dataset(
-            matrix=dataset.matrix,
-            labels=relabel_binary_mnist(dataset.labels),
-            name=dataset.name,
-        )
-        return scale_pixels(dataset, bits)
-    dataset = load_dataset(args.data)
-    if args.scale == "minus1-1":
+def _problem(args: argparse.Namespace) -> tuple[Dataset, float, LogisticObjective]:
+    """The dataset as ``--scale`` asks, lambda (default 1/samples) and the oracle."""
+    mode, bits = args.scale
+    dataset = load_dataset(args.data, normalize_labels=mode != "pixels")
+    if mode == "pixels":
+        dataset = dataclasses.replace(dataset, labels=relabel_binary_mnist(dataset.labels))
+        dataset = scale_pixels(dataset, bits)
+    elif mode == "minus1-1":
         dataset = scale_minus1_1(dataset)
-    return dataset
+    lam = args.lam if args.lam is not None else 1.0 / dataset.n_samples
+    return dataset, lam, LogisticObjective(dataset.matrix, dataset.labels)
 
 
-def _config(args, lam: float, epsilon: float | None) -> IstaConfig | SolverConfig:
-    """The chosen solver's config from the flags given; the rest keep its defaults."""
-    given = {"epsilon": epsilon, "max_iter": args.max_iter}
-    if args.solver == "farsa":
-        given["time_limit"] = args.time_limit
+def _solver(
+    args, oracle, lam: float, epsilon: float | None
+) -> tuple[IstaConfig | SolverConfig, Callable[[], SolveReport]]:
+    """The chosen solver's config (flags not given keep its defaults) and a
+    call that runs it on ``oracle``."""
+    given = {"epsilon": epsilon, "max_iter": args.max_iter, "time_limit": args.time_limit}
     given = {name: value for name, value in given.items() if value is not None}
     if args.solver == "ista":
-        return IstaConfig(**given)
-    return SolverConfig(lam=lam, **given)
-
-
-def _run_solver(args, oracle, lam: float, config: IstaConfig | SolverConfig) -> SolveReport:
-    if args.solver == "ista":
-        return ista_solve(oracle, lam, config)
-    return solve(oracle, config)
+        given.pop("time_limit", None)
+        config = IstaConfig(**given)
+        return config, lambda: ista_solve(oracle, lam, config)
+    config = SolverConfig(lam=lam, **given)
+    return config, lambda: solve(oracle, config)
 
 
 def _report_dict(
@@ -224,16 +223,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and args.solver == "ista":
         print("error: --trace is not available with --solver ista", file=sys.stderr)
         return 2
-    dataset = _load(args)
-    lam = args.lam if args.lam is not None else 1.0 / dataset.n_samples
-    oracle = LogisticObjective(dataset.matrix, dataset.labels)
-
-    config = _config(args, lam, args.epsilon)
+    dataset, lam, oracle = _problem(args)
+    config, run_solver = _solver(args, oracle, lam, args.epsilon)
     times = []
     report = None
     for _ in range(args.repeat):
         start = time.perf_counter()
-        report = _run_solver(args, oracle, lam, config)
+        report = run_solver()
         times.append(time.perf_counter() - start)
     mean_time = float(np.mean(times))
 
@@ -270,18 +266,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = _load(args)
-    lam = args.lam if args.lam is not None else 1.0 / dataset.n_samples
-    oracle = LogisticObjective(dataset.matrix, dataset.labels)
-
+    _, lam, oracle = _problem(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["tolerance", "time_seconds", "iterations", "objective", "percent_zeros"]
     )
     failed = False
     for eps in args.tolerances:
+        _, run_solver = _solver(args, oracle, lam, eps)
         start = time.perf_counter()
-        report = _run_solver(args, oracle, lam, _config(args, lam, eps))
+        report = run_solver()
         elapsed = time.perf_counter() - start
         writer.writerow(
             [

@@ -9,15 +9,14 @@ kernel the measures negate: with unit step the displacement is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_vector, dot
 from .objectives import ObjectiveOracle
-from .optimality import is_optimal, ista_step, optimality_measures
-from .solver import SolveReport, SolveStatus, _initial_point
+from .optimality import ista_step, optimality_measures
+from .solver import SolveReport, SolveStatus, _check_positive, _initial_point, _total_objective
 
 __all__ = ["IstaConfig", "ista_solve"]
 
@@ -34,8 +33,7 @@ class IstaConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        _check_positive("epsilon", self.epsilon)
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -53,8 +51,7 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
     l1 term, the final objective.  ``lam`` (positive, finite), x0 and every
     gradient are checked as in ``solve``.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
+    _check_positive("lam", lam)
     n = oracle.dim
     x = _initial_point(x0, n)
     f_x = oracle.value(x)
@@ -64,7 +61,7 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
     for k in range(config.max_iter + 1):
         grad = as_vector(oracle.gradient(x), n)
         pair = optimality_measures(x, grad, lam)
-        if is_optimal(pair, config.epsilon):
+        if pair.max_norm <= config.epsilon:
             status = SolveStatus.OPTIMAL
             break
         if k == config.max_iter:
@@ -88,11 +85,10 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
         if not np.isfinite(x).all():
             raise ArithmeticError(f"iterate became non-finite at iteration {k}")
 
-    objective = f_x + lam * float(np.sum(np.abs(x)))
     return SolveReport(
         status=status,
         x_final=x,
-        objective=objective,
+        objective=_total_objective(f_x, lam, x),
         trace=[],
         iterations=k,
     )

@@ -27,14 +27,12 @@ as F at the accepted point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "LineSearchError",
-    "PhiOutcome",
     "SearchResult",
     "project_orthant",
     "orthant_boundary_step",
@@ -74,22 +72,19 @@ class LineSearchError(RuntimeError):
     trial point that does not move the iterate."""
 
 
-class PhiOutcome(Enum):
-    """ADD: a step that changes the sign pattern; SUFFICIENT_DECREASE: Armijo."""
-
-    ADD = "add"
-    SUFFICIENT_DECREASE = "sufficient_decrease"
-
-
 @dataclass(frozen=True)
 class SearchResult:
-    """The accepted point, F there, and how the search reached it."""
+    """The accepted point, F there, and how the search reached it.
+
+    ``added`` marks a step that changed the sign pattern of x (the paper's
+    ADD step).
+    """
 
     next_x: np.ndarray
     value: float
     backtracks: int
     step_size: float
-    outcome: PhiOutcome
+    added: bool
 
 
 def project_orthant(y: np.ndarray, x_ref: np.ndarray) -> np.ndarray:
@@ -132,7 +127,7 @@ def _accept(
     change: float,
     step: float,
     j: int,
-    outcome: PhiOutcome,
+    added: bool,
 ) -> SearchResult | None:
     """The result at y if F(y) <= F(x) + change + noise, else None.
 
@@ -150,7 +145,7 @@ def _accept(
         )
     value = f_total(y)
     if value <= f_x + change + _EVAL_NOISE * (1.0 + abs(f_x)):
-        return SearchResult(y, value, j, step, outcome)
+        return SearchResult(y, value, j, step, added)
     return None
 
 
@@ -162,7 +157,7 @@ def _armijo(
         step = XI**j
         y = x + step * d
         change = ETA * step * slope
-        result = _accept(f_total, f_x, x, y, change, step, j, PhiOutcome.SUFFICIENT_DECREASE)
+        result = _accept(f_total, f_x, x, y, change, step, j, added=False)
         if result is not None:
             return result
         j += 1
@@ -173,10 +168,10 @@ def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: floa
 
     ``f_total`` evaluates the full objective F (smooth part plus l1 term) at
     a full-space point; ``slope`` is the derivative of F along ``d`` inside
-    the orthant of ``x``, for the boundary step's and the Armijo tests.  The
-    outcome is ADD exactly when the step changes the sign pattern of ``x``:
-    Armijo trials start at the first j whose point keeps every sign, and
-    shorter steps along the same ray keep them.  Raises LineSearchError as
+    the orthant of ``x``, for the boundary step's and the Armijo tests.
+    ``added`` is true exactly when the step changes the sign pattern of
+    ``x``: Armijo trials start at the first j whose point keeps every sign,
+    and shorter steps along the same ray keep them.  Raises LineSearchError as
     ``_accept`` does.
     """
     f_x = f_total(x)
@@ -185,7 +180,7 @@ def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: floa
     j = 0
     y = project_orthant(x + d, x)
     while not np.array_equal(np.sign(y), sign_x):
-        result = _accept(f_total, f_x, x, y, 0.0, XI**j, j, PhiOutcome.ADD)
+        result = _accept(f_total, f_x, x, y, 0.0, XI**j, j, added=True)
         if result is not None:
             return result
         j += 1
@@ -195,7 +190,7 @@ def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: floa
         alpha_b, binding = orthant_boundary_step(x, d)
         y_b = x + alpha_b * d
         y_b[binding] = 0.0
-        result = _accept(f_total, f_x, x, y_b, ETA * alpha_b * slope, alpha_b, j, PhiOutcome.ADD)
+        result = _accept(f_total, f_x, x, y_b, ETA * alpha_b * slope, alpha_b, j, added=True)
         if result is not None:
             return result
     # at j = 0 the projected point kept every sign, so it equals x + d

@@ -1,4 +1,4 @@
-"""Optimality measures, termination test, and the shrink step.
+"""Optimality measures and the shrink step.
 
 The two measures split stationarity violation between the zero variables
 (``beta``) and the nonzero variables (``phi``): at a minimizer of
@@ -30,7 +30,6 @@ from .linalg import dot
 __all__ = [
     "OptimalityPair",
     "optimality_measures",
-    "is_optimal",
     "ista_step",
 ]
 
@@ -46,6 +45,7 @@ class OptimalityPair:
 
     @property
     def max_norm(self) -> float:
+        """max{||beta||, ||phi||}: both solvers stop once it is <= epsilon."""
         return max(self.beta_norm, self.phi_norm)
 
 
@@ -56,7 +56,11 @@ def ista_step(x: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
     u[i] in [-lam, lam], and -g[i] - lam where u[i] > lam.
     """
     u = x - grad
-    return np.where(u < -lam, lam - grad, np.where(u > lam, -grad - lam, -x))
+    step = np.negative(x)
+    np.subtract(lam, grad, out=step, where=u < -lam)
+    # fl(-lam - g) == fl(-g - lam): both round the same real number
+    np.subtract(-lam, grad, out=step, where=u > lam)
+    return step
 
 
 def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> OptimalityPair:
@@ -72,7 +76,8 @@ def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> Optimali
     Both are the negated shrink step on their half of the split.
     """
     measure = -ista_step(x, grad, lam)
-    beta = np.where(x == 0.0, measure, 0.0)
+    beta = np.zeros_like(measure)
+    np.copyto(beta, measure, where=x == 0.0)
     phi = measure - beta  # exact: measure - measure is 0.0 on the zeros
     return OptimalityPair(
         beta=beta,
@@ -81,10 +86,3 @@ def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> Optimali
         phi_norm=math.sqrt(dot(phi, phi)),
     )
 
-
-def is_optimal(pair: OptimalityPair, epsilon: float) -> bool:
-    """Termination test: max{||beta||, ||phi||} <= epsilon.
-
-    ``SolverConfig`` and ``IstaConfig`` check that epsilon is positive.
-    """
-    return pair.max_norm <= epsilon

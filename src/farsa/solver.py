@@ -29,14 +29,13 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from .linalg import as_vector, dot
-from .linesearch import LineSearchError, PhiOutcome, linesearch_beta, linesearch_phi
+from .linesearch import LineSearchError, linesearch_beta, linesearch_phi
 from .objectives import ObjectiveOracle
-from .optimality import is_optimal, optimality_measures
+from .optimality import optimality_measures
 from .subproblem import cg_solve
 
 __all__ = [
@@ -47,6 +46,13 @@ __all__ = [
     "SolveReport",
     "solve",
 ]
+
+
+def _check_positive(name: str, value: float) -> float:
+    """value, if it is positive and finite; else ValueError naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,8 @@ class SolverConfig:
     time_limit: float = 600.0
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError("lam must be positive and finite")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        _check_positive("lam", self.lam)
+        _check_positive("epsilon", self.epsilon)
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         # inf means no limit; NaN would never stop the solve for time
@@ -124,12 +128,13 @@ class SolveReport:
         return sum(1 for r in self.trace if r.type is IterationType.BETA)
 
 
-def _total_objective(oracle: ObjectiveOracle, lam: float, x: np.ndarray) -> float:
-    return oracle.value(x) + lam * float(np.sum(np.abs(x)))
+def _total_objective(f_value: float, lam: float, x: np.ndarray) -> float:
+    """F(x) = f(x) + lam*||x||_1, given f(x)."""
+    return f_value + lam * float(np.sum(np.abs(x)))
 
 
-def _clamp(value: float, lower: float, upper: float, scale: float = 1.0) -> float:
-    return max(lower, min(upper, scale * value))
+def _clamp(value: float, lower: float, upper: float) -> float:
+    return max(lower, min(upper, value))
 
 
 def _initial_point(x0, n: int) -> np.ndarray:
@@ -149,8 +154,11 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
     """
     n = oracle.dim
     x = _initial_point(x0, n)
+
+    def f_total(y: np.ndarray) -> float:
+        return _total_objective(oracle.value(y), config.lam, y)
+
     started = time.perf_counter()
-    f_total = partial(_total_objective, oracle, config.lam)
     last_phi_step_norm = last_beta_step_norm = math.inf
     trace: list[IterationRecord] = []
     while True:
@@ -159,7 +167,7 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
             break
         grad = as_vector(oracle.gradient(x), n)
         pair = optimality_measures(x, grad, config.lam)
-        if is_optimal(pair, config.epsilon):
+        if pair.max_norm <= config.epsilon:
             status = SolveStatus.OPTIMAL
             break
         if len(trace) >= config.max_iter:
@@ -171,13 +179,13 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
                 # phi: reduced Newton-CG over the support of phi, projected search
                 indices = np.flatnonzero(pair.phi != 0.0)
                 g_reduced = grad[indices] + config.lam * np.sign(x[indices])
-                step_cap = _clamp(last_phi_step_norm, 1e-3, 1e3, scale=10.0)
+                step_cap = _clamp(10.0 * last_phi_step_norm, 1e-3, 1e3)
                 hvp = oracle.reduced_hessian_operator(x, indices)
                 outcome = cg_solve(hvp, g_reduced, x[indices], step_cap)
                 d = np.zeros_like(x)
                 d[indices] = outcome.direction
                 result = linesearch_phi(f_total, x, d, dot(g_reduced, outcome.direction))
-                kind = IterationType.PHI_ADD if result.outcome is PhiOutcome.ADD else IterationType.PHI_SD
+                kind = IterationType.PHI_ADD if result.added else IterationType.PHI_SD
                 cg_iterations = outcome.iterations
                 # free the branch's arrays now, as a function return would:
                 # held into the next iteration they raise a solve's peak memory

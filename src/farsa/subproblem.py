@@ -57,7 +57,11 @@ class CgOutcome:
 
 
 def _orthant_violations(x_restricted: np.ndarray, x_signs: np.ndarray, d: np.ndarray) -> int:
-    """Count components of x+d whose sign is opposite to x (exact zero is fine)."""
+    """Count components whose sign(x+d) is nonzero and differs from sign(x).
+
+    That is a sign flip or a zero of x that moves off zero; landing on an
+    exact zero never counts.
+    """
     s_new = np.sign(x_restricted + d)
     return int(np.count_nonzero((s_new != 0.0) & (s_new != x_signs)))
 

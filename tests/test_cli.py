@@ -303,6 +303,28 @@ class TestSweepCommand:
         assert "epsilon must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command, flag, name",
+    [
+        ("solve", "--lambda", "lambda"),
+        ("solve", "--time-limit", "time-limit"),
+        ("solve", "--epsilon", "epsilon"),
+        ("sweep", "--tolerances", "epsilon"),
+    ],
+)
+def test_float_flag_rejects_value(capsys, small_problem, command, flag, name, value):
+    given = f"1e-2,{value}" if flag == "--tolerances" else value
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", small_problem, flag, given])
+    assert exc.value.code == 2
+    if value == "abc":
+        message = "'abc': not a number"
+    else:
+        message = f"{name} must be positive and finite"
+    assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+
+
 def test_module_runs_as_script(small_problem):
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     done = subprocess.run(

@@ -8,7 +8,6 @@ from farsa.linesearch import (
     ETA,
     XI,
     LineSearchError,
-    PhiOutcome,
     linesearch_beta,
     linesearch_phi,
     orthant_boundary_step,
@@ -68,7 +67,7 @@ class TestPhiSearch:
         d = np.array([2.0])
         grad_reduced = np.array([-2.0])
         res = linesearch_phi(f, x, d, grad_reduced @ d)
-        assert res.outcome is PhiOutcome.SUFFICIENT_DECREASE
+        assert not res.added
         assert res.step_size == 1.0
         assert res.backtracks == 0
         assert_allclose(res.next_x, [3.0])
@@ -78,7 +77,7 @@ class TestPhiSearch:
         x = np.array([1.0])
         d = np.array([-2.0])
         res = linesearch_phi(f, x, d, np.array([2.0 * x[0]]) @ d)
-        assert res.outcome is PhiOutcome.ADD
+        assert res.added
         assert res.next_x[0] == 0.0
         assert res.backtracks == 0
 
@@ -92,7 +91,7 @@ class TestPhiSearch:
         d = np.array([-1.6, -0.5])
         grad_reduced = a @ x + b
         res = linesearch_phi(f, x, d, grad_reduced @ d)
-        assert res.outcome is PhiOutcome.ADD
+        assert res.added
         assert res.step_size == pytest.approx(0.625)
         assert res.next_x[0] == 0.0
         assert res.next_x[1] == pytest.approx(0.6875)
@@ -108,7 +107,7 @@ class TestPhiSearch:
         d = np.array([-1.6, -0.5])
         grad_reduced = a @ x + b
         res = linesearch_phi(f, x, d, grad_reduced @ d)
-        assert res.outcome is PhiOutcome.SUFFICIENT_DECREASE
+        assert not res.added
         assert res.step_size == 0.25
         assert_allclose(res.next_x, [0.6, 0.875])
         assert np.array_equal(np.sign(res.next_x), np.sign(x))
@@ -130,15 +129,15 @@ class TestPhiSearch:
             res = linesearch_phi(f, x, d, grad @ d)
             assert f(res.next_x) <= f(x) + 1e-12  # monotone
             assert res.value == f(res.next_x)
-            if res.outcome is PhiOutcome.ADD:
+            if res.added:
                 shrunk += 1
                 assert not np.array_equal(np.sign(res.next_x), np.sign(x))
                 assert np.count_nonzero(res.next_x == 0.0) > np.count_nonzero(
                     x == 0.0
                 )
             else:
-                # SUFFICIENT_DECREASE keeps every sign: the solver's phi_sd
-                # and phi_add come from this outcome alone
+                # an Armijo step keeps every sign: the solver's phi_sd and
+                # phi_add come from ``added`` alone
                 assert np.array_equal(np.sign(res.next_x), np.sign(x))
         assert 0 < shrunk < 50  # both outcomes were exercised
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from farsa import QuadraticObjective
-from farsa.optimality import OptimalityPair, is_optimal, ista_step, optimality_measures
+from farsa.optimality import OptimalityPair, ista_step, optimality_measures
 from reference import (
     beta_scalar,
     phi_scalar,
@@ -61,17 +61,19 @@ class TestPhi:
 
 
 class TestIsOptimal:
+    """The termination test max{||beta||, ||phi||} <= epsilon of both solvers."""
+
     def test_zero_measures_always_optimal(self):
         pair = OptimalityPair(np.zeros(3), np.zeros(3), 0.0, 0.0)
-        assert is_optimal(pair, 1e-300)
+        assert pair.max_norm <= 1e-300
 
     def test_violation_detected(self):
         pair = OptimalityPair(np.array([2.0]), np.zeros(1), 2.0, 0.0)
-        assert not is_optimal(pair, 1.0)
+        assert not pair.max_norm <= 1.0
 
     def test_boundary_is_inclusive(self):
         pair = OptimalityPair(np.array([1.0]), np.zeros(1), 1.0, 0.0)
-        assert is_optimal(pair, 1.0)
+        assert pair.max_norm <= 1.0
 
 
 class TestShrinkStep:

@@ -46,10 +46,10 @@ class TestSoftThresholdQuadratic:
 
 class TestAdaptiveScales:
     def test_phi_step_cap_clamps(self):
-        assert _clamp(1e-9, 1e-3, 1e3, scale=10.0) == 1e-3
-        assert _clamp(1e9, 1e-3, 1e3, scale=10.0) == 1e3
-        assert _clamp(math.inf, 1e-3, 1e3, scale=10.0) == 1e3
-        assert _clamp(0.05, 1e-3, 1e3, scale=10.0) == 0.5
+        assert _clamp(10.0 * 1e-9, 1e-3, 1e3) == 1e-3
+        assert _clamp(10.0 * 1e9, 1e-3, 1e3) == 1e3
+        assert _clamp(10.0 * math.inf, 1e-3, 1e3) == 1e3
+        assert _clamp(10.0 * 0.05, 1e-3, 1e3) == 0.5
 
     def test_beta_scale_clamps(self):
         assert _clamp(1e-9, 1e-5, 1.0) == 1e-5

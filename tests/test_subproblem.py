@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa.subproblem import CgStopReason, cg_solve
+from farsa.subproblem import CgStopReason, _orthant_violations, cg_solve
 from reference import accept_direction, model_decrease, reference_direction
 
 
@@ -131,6 +131,12 @@ class TestCgSolve:
         moved = np.sign(x_restricted + out.direction)
         flipped = np.count_nonzero((moved != 0.0) & (moved != 1.0))
         assert flipped >= max(1e3, 0.1 * n)
+
+    def test_orthant_violations_count_zeros_that_move(self):
+        # flip, keep, zero moving off zero, zero staying, landing on zero
+        x = np.array([1.0, -2.0, 0.0, 0.0, 3.0])
+        d = np.array([-2.0, 1.0, 0.5, 0.0, -3.0])
+        assert _orthant_violations(x, np.sign(x), d) == 2
 
     def test_returned_direction_always_acceptable(self):
         rng = np.random.default_rng(27)
