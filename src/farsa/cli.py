@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -43,15 +44,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(name: str) -> Callable[[str], float]:
+def _positive_float(name: str, allow_inf: bool = False) -> Callable[[str], float]:
     """The argparse type of a float flag: a number that ``_check_positive``
-    accepts, named ``name`` in its message."""
+    accepts, named ``name`` in its message, or inf if ``allow_inf``."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r}: not a number") from None
+        if allow_inf and value == math.inf:
+            return value
         try:
             return _check_positive(name, value)
         except ValueError as exc:
@@ -101,10 +104,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--time-limit",
-        type=_positive_float("time-limit"),
+        type=_positive_float("time-limit", allow_inf=True),
         metavar="SECONDS",
         help=f"wall-time budget of each farsa solve (default: {SolverConfig.time_limit}; "
-        "ignored by --solver ista)",
+        "inf for no limit; ignored by --solver ista)",
     )
     parser.add_argument(
         "--scale",

@@ -23,11 +23,23 @@ created once per matrix.  A slice keeps the form of the matrix it was cut
 from, so a slice of a larger matrix never reaches the dense form; within one
 form a slice gives bitwise the products of the same columns built through
 the constructor (see ``SparseMatrix``).
+
+``gram_inverse`` is the one matrix-matrix product and the one dense solve.
+It applies the inverse of a weighted Gram matrix ``A.T diag(w) A + shift*I``
+only where that is cheap, well posed and independent of the BLAS thread
+count: ``A`` is held dense, has no more columns than rows (else the Gram
+matrix is singular apart from the shift), and rows times columns squared is
+at most ``GRAM_MAX_WORK`` = 2^18.  On OpenBLAS 0.3.31 with two threads the
+Gram product gave different bytes than with one from 148 x 84 (1.04 M
+multiply-adds) among the shapes tried, and the LAPACK solve from order 97;
+under the bound the product does at most 2^18 multiply-adds and the order is
+at most 64, since columns cubed is at most rows times columns squared.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +49,7 @@ __all__ = [
     "as_vector",
     "check_csr",
     "dot",
+    "gram_inverse",
     "spmv",
     "spmv_transpose",
 ]
@@ -44,6 +57,9 @@ __all__ = [
 # Matrices with at most this many entries (rows times columns) are held
 # dense for products and slices.
 DENSE_MAX_ENTRIES = 2**15
+
+# gram_inverse forms a Gram matrix only while rows * cols**2 is at most this.
+GRAM_MAX_WORK = 2**18
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
@@ -250,3 +266,22 @@ def spmv_transpose(matrix: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Return ``A.T @ x``; ``x`` is a finite float64 vector of length n_rows."""
     dense = matrix._dense
     return matrix._transpose @ x if dense is None else x @ dense
+
+
+def gram_inverse(
+    matrix: SparseMatrix, weights: np.ndarray, shift: float
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The map ``b -> (A.T diag(weights) A + shift*I)^-1 b``, or None.
+
+    None unless ``A`` is held dense, has no more columns than rows, and
+    rows * cols**2 <= ``GRAM_MAX_WORK`` (see the module docstring).  The
+    Gram matrix is formed once, by one BLAS matrix-matrix product; each
+    call of the map is one LAPACK solve (``numpy.linalg.solve``).
+    """
+    dense = matrix._dense
+    n_rows, n_cols = matrix.shape
+    if dense is None or n_cols > n_rows or n_rows * n_cols * n_cols > GRAM_MAX_WORK:
+        return None
+    gram = (dense.T * weights) @ dense
+    gram.flat[:: n_cols + 1] += shift
+    return partial(np.linalg.solve, gram)

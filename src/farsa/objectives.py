@@ -15,6 +15,19 @@ first setup builds and later setups reuse, and each slice keeps the
 transposed view its first product creates.  Value, gradient and operator
 call ``spmv``/``spmv_transpose`` through this module's names.
 
+On a small dense subspace the logistic operator also carries the exact
+inverse of the same shifted matrix, as its ``inverse`` attribute, and the
+solver hands it to CG as the preconditioner: CG preconditioned by H^-1
+takes the Newton step -H^-1 g as its first iterate, so its residual rule
+stops it there after one Hessian product.  The inverse is offered when
+three conditions hold: the slice ``A_I`` is held dense (its design matrix
+has at most ``linalg.DENSE_MAX_ENTRIES`` entries), |I| <= m, so that the
+Gram matrix ``A_I^T W A_I`` is not singular apart from the shift, and
+m*|I|^2 <= 2^18, which keeps the Gram product and its solve below the sizes
+where two BLAS threads changed their bytes, so the iterates do not depend on
+the thread count (``linalg.gram_inverse``).  Larger subspaces run plain
+Newton-CG.  The quadratic test oracle offers no inverse.
+
 The margins ``t = y*(A@x)`` feed all three, and a solver asks for them at
 the same point several times: the line search's value at the point it
 accepts, then the next gradient and the next operator setup.  So the
@@ -40,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SparseMatrix, as_vector, dot, spmv, spmv_transpose
+from .linalg import SparseMatrix, as_vector, dot, gram_inverse, spmv, spmv_transpose
 
 __all__ = [
     "ObjectiveOracle",
@@ -76,6 +89,14 @@ class ObjectiveOracle(ABC):
         CG solve performs.  It applies [H(x)]_{I,I} v + shift*v and expects
         a float64 vector of length |I|; ``indices`` must be sorted,
         duplicate-free and in range.  Neither is checked.
+
+        The closure may carry an ``inverse`` attribute: a function applying
+        the inverse of the same shifted matrix, which the solver hands to
+        ``cg_solve`` as its preconditioner.  With the exact inverse, CG's
+        first iterate is the Newton step and the residual rule stops it at
+        iteration 1, before the step cap.  The logistic oracle offers one on
+        small dense subspaces (see the module docstring); without one, CG
+        runs unpreconditioned.
         """
 
 
@@ -155,6 +176,9 @@ class LogisticObjective(ObjectiveOracle):
         def apply(v: np.ndarray) -> np.ndarray:
             return spmv_transpose(sub, weights * spmv(sub, v)) + HESSIAN_SHIFT * v
 
+        inverse = gram_inverse(sub, weights, HESSIAN_SHIFT)
+        if inverse is not None:
+            apply.inverse = inverse
         return apply
 
 

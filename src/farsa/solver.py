@@ -4,15 +4,16 @@
 measures beta and phi and terminates once max{||beta||, ||phi||} <= epsilon.
 Otherwise it takes one of two branches: when ||beta|| <= ||phi|| (the
 paper's gamma fixed at 1) a phi-iteration optimizes over the support of phi
-with reduced Newton-CG and the projected line search; else a beta-iteration
-frees zero variables along a safeguarded scaled direction with Armijo
-backtracking.  Each branch builds its whole step here: the direction d, the
-Armijo slope (g^T d over the support for phi, -||d||^2 for beta) and, from
-the search's outcome, the kind of iteration; the searches only backtrack
-along d.  Both branches end the same way: the step norm, the new
-iterate and one ``IterationRecord``.  Each record's objective, and the
-report's, is the value the line search computed at the point it accepted;
-F is evaluated afresh only for a solve that takes no iteration.
+with a reduced Newton step on small dense subspaces, Newton-CG otherwise,
+and the projected line search; else a beta-iteration frees zero variables
+along a safeguarded scaled direction with Armijo backtracking.  Each branch
+builds its whole step here: the direction d, the Armijo slope (g^T d over
+the support for phi, -||d||^2 for beta) and, from the search's outcome, the
+kind of iteration; the searches only backtrack along d.  Both branches end
+the same way: the step norm, the new iterate and one ``IterationRecord``.
+Each record's objective, and the report's, is the value the line search
+computed at the point it accepted; F is evaluated afresh only for a solve
+that takes no iteration.
 
 The adaptive scale factors are built from the norm of the most recent step
 of the same type: the CG step cap is max{1e-3, min{1e3, 10*prev}} and the
@@ -181,7 +182,10 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
                 g_reduced = grad[indices] + config.lam * np.sign(x[indices])
                 step_cap = _clamp(10.0 * last_phi_step_norm, 1e-3, 1e3)
                 hvp = oracle.reduced_hessian_operator(x, indices)
-                outcome = cg_solve(hvp, g_reduced, x[indices], step_cap)
+                # the exact inverse, when the oracle has one, makes CG a Newton step
+                outcome = cg_solve(
+                    hvp, g_reduced, x[indices], step_cap, getattr(hvp, "inverse", None)
+                )
                 d = np.zeros_like(x)
                 d[indices] = outcome.direction
                 result = linesearch_phi(f_total, x, d, dot(g_reduced, outcome.direction))

@@ -13,6 +13,18 @@ the previous phi step.  The rest is fixed by the paper or by the size of the
 subspace: the residual rule stops at max{RESIDUAL_REDUCTION * ||r0||,
 RESIDUAL_FLOOR}, the orthant rule at max{1e3, 0.1*|I|} sign flips, and the
 iteration cap is |I|, where CG is exact in exact arithmetic.
+
+``cg_solve`` optionally takes a preconditioner z = M r (preconditioned CG,
+Nocedal & Wright, Algorithm 5.3); the rules above still read the residual r
+itself.  Without one, z is r and the arithmetic is plain CG's.  The solver
+passes one only when the oracle supplies the exact inverse M = H^-1
+(``ObjectiveOracle.reduced_hessian_operator``), which the logistic oracle
+does on dense-held slices with |I| <= m and m*|I|^2 <= 2^18.  Then the first
+iterate is the Newton step -H^-1 g, whose residual is zero up to rounding, so
+the residual rule fires at j = 1, before the step cap is tested: on small
+dense subspaces a phi step is a Newton step that costs one Hessian product
+and one dense solve.  The Newton step meets both acceptance conditions, since
+(g^T H^-1 g)(g^T H g) >= (g^T g)^2 by Cauchy-Schwarz.
 """
 
 from __future__ import annotations
@@ -67,7 +79,11 @@ def _orthant_violations(x_restricted: np.ndarray, x_signs: np.ndarray, d: np.nda
 
 
 def cg_solve(
-    hvp: Hvp, g: np.ndarray, x_restricted: np.ndarray, step_norm_limit: float
+    hvp: Hvp,
+    g: np.ndarray,
+    x_restricted: np.ndarray,
+    step_norm_limit: float,
+    preconditioner: Hvp | None = None,
 ) -> CgOutcome:
     """Run CG on H d = -g from d = 0, stopping at the first satisfied rule.
 
@@ -75,17 +91,28 @@ def cg_solve(
     reduced, too many orthant violations, step norm at ``step_norm_limit``.
     Because CG iterate norms grow monotonically from d = 0, the step-norm
     rule acts as an implicit trust region.  Exhausting the iteration cap
-    returns MAX_ITERATIONS with the last iterate.
+    returns MAX_ITERATIONS with the last iterate.  ``preconditioner`` maps a
+    residual r to z = M r with M symmetric positive definite; it is applied
+    only after an iterate that no rule stops at, and to the initial residual.
     """
+
+    def preconditioned(r: np.ndarray, rr: float) -> tuple[np.ndarray, float]:
+        # (z, r^T z); without a preconditioner z is r and r^T z is r^T r
+        if preconditioner is None:
+            return r, rr
+        z = preconditioner(r)
+        return z, dot(r, z)
+
     d = np.zeros(g.shape[0])
     r = -g  # residual b - H d for b = -g
-    rs_old = dot(r, r)
-    r_norm = math.sqrt(rs_old)
+    rr = dot(r, r)
+    r_norm = math.sqrt(rr)
     residual_target = max(RESIDUAL_REDUCTION * r_norm, RESIDUAL_FLOOR)
     violation_threshold = max(1e3, 1e-1 * g.size)
 
     x_signs = np.sign(x_restricted)
-    p = r.copy()
+    z, rz_old = preconditioned(r, rr)
+    p = z
     for j in range(1, g.size + 1):
         hp = hvp(p)
         if hp.shape != p.shape:
@@ -97,11 +124,11 @@ def cg_solve(
             raise ArithmeticError(
                 f"oracle not positive definite at CG iteration {j}: p^T H p = {curvature}"
             )
-        alpha = rs_old / curvature
+        alpha = rz_old / curvature
         d = d + alpha * p
         r = r - alpha * hp
-        rs_new = dot(r, r)
-        r_norm = math.sqrt(rs_new)
+        rr = dot(r, r)
+        r_norm = math.sqrt(rr)
         if not math.isfinite(r_norm):
             raise ArithmeticError(f"non-finite residual at CG iteration {j}")
         if r_norm <= residual_target:
@@ -110,6 +137,7 @@ def cg_solve(
             return CgOutcome(d, j, r_norm, CgStopReason.ORTHANT_VIOLATIONS)
         if math.sqrt(dot(d, d)) >= step_norm_limit:
             return CgOutcome(d, j, r_norm, CgStopReason.STEP_TOO_LARGE)
-        p = r + (rs_new / rs_old) * p
-        rs_old = rs_new
+        z, rz_new = preconditioned(r, rr)
+        p = z + (rz_new / rz_old) * p
+        rz_old = rz_new
     return CgOutcome(d, g.size, r_norm, CgStopReason.MAX_ITERATIONS)

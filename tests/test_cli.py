@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -235,6 +236,12 @@ class TestSolveCommand:
         run_cli(capsys, ["solve", "--data", small_problem, "--solver", "ista", *flags])
         assert configs["ista"] == IstaConfig(epsilon=1e-3, max_iter=7)
 
+    def test_time_limit_inf_reaches_the_config(self, capsys, small_problem, configs):
+        # inf is SolverConfig's "no limit", the one non-finite value a float flag takes
+        code, _, _ = run_cli(capsys, ["solve", "--data", small_problem, "--time-limit", "inf"])
+        assert code == 0
+        assert configs["farsa"].time_limit == math.inf
+
     def test_minus1_1_scale_flag(self, capsys, small_problem):
         code, out, _ = run_cli(
             capsys,
@@ -303,14 +310,19 @@ class TestSweepCommand:
         assert "epsilon must be positive and finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+# --time-limit takes inf (no limit): test_time_limit_inf_reaches_the_config
 @pytest.mark.parametrize(
-    "command, flag, name",
+    "command, flag, name, value",
     [
-        ("solve", "--lambda", "lambda"),
-        ("solve", "--time-limit", "time-limit"),
-        ("solve", "--epsilon", "epsilon"),
-        ("sweep", "--tolerances", "epsilon"),
+        (command, flag, name, value)
+        for command, flag, name in [
+            ("solve", "--lambda", "lambda"),
+            ("solve", "--time-limit", "time-limit"),
+            ("solve", "--epsilon", "epsilon"),
+            ("sweep", "--tolerances", "epsilon"),
+        ]
+        for value in ["abc", "0", "-1", "nan", "inf"]
+        if (flag, value) != ("--time-limit", "inf")
     ],
 )
 def test_float_flag_rejects_value(capsys, small_problem, command, flag, name, value):

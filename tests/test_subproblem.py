@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from farsa import LogisticObjective, SparseMatrix
 from farsa.subproblem import CgStopReason, _orthant_violations, cg_solve
-from reference import accept_direction, model_decrease, reference_direction
+from reference import accept_direction, model_decrease, random_sparse_dense, reference_direction
 
 
 def matrix_hvp(h):
@@ -232,3 +233,70 @@ class TestCgSolve:
 
         with pytest.raises(ValueError, match="shape"):
             cg_solve(wrong_shape, np.ones(3), np.ones(3), 1e3)
+
+
+def logistic_operator(rng, m, n, k):
+    """The reduced Hessian operator of a random m x n logistic problem on k random columns."""
+    dense = random_sparse_dense(rng, m, n)
+    labels = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    oracle = LogisticObjective(SparseMatrix.from_dense(dense), labels)
+    x = rng.normal(scale=0.3, size=n)
+    indices = np.sort(rng.choice(n, size=k, replace=False))
+    return oracle.reduced_hessian_operator(x, indices), x[indices]
+
+
+def operator_matrix(hvp, k):
+    return np.column_stack([hvp(e) for e in np.eye(k)])
+
+
+class TestPreconditionedCg:
+    def test_identity_preconditioner_is_plain_cg(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            n = int(rng.integers(2, 30))
+            hvp = matrix_hvp(random_spd(rng, n, eig_high=1e3))
+            g = rng.normal(size=n)
+            x = rng.normal(size=n)
+            plain = cg_solve(hvp, g, x, np.inf)
+            identity = cg_solve(hvp, g, x, np.inf, lambda r: r.copy())
+            assert identity.iterations == plain.iterations
+            assert identity.direction.tobytes() == plain.direction.tobytes()
+
+    def test_exact_inverse_takes_the_newton_step(self):
+        # dense-held slices (m*n <= 2^15) with |I| <= m and m*|I|^2 <= 2^18
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            k = int(rng.integers(2, 65))
+            m = int(rng.integers(k, min(2**18 // k**2, 2**15 // k) + 1))
+            n = int(rng.integers(k, 2**15 // m + 1))
+            hvp, x_restricted = logistic_operator(rng, m, n, k)
+            g = rng.normal(size=k)
+            cap = float(rng.uniform(0.01, 50.0))
+            out = cg_solve(hvp, g, x_restricted, cap, hvp.inverse)
+            assert out.iterations == 1
+            assert out.stop_reason is CgStopReason.RESIDUAL_REDUCED
+            d_ref, _ = reference_direction(g, hvp)
+            assert accept_direction(g, out.direction, d_ref, hvp)
+            h = operator_matrix(hvp, k)
+            theta_min = float(np.linalg.eigvalsh(0.5 * (h + h.T)).min())
+            bound = (2.0 / theta_min) * float(np.linalg.norm(g)) + 1e-10
+            assert float(np.linalg.norm(out.direction)) <= bound
+            assert_allclose(out.direction, np.linalg.solve(h, -g), rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "m, n, k",
+        [
+            (257, 128, 16),  # 257 * 128 > 2^15 entries: the matrix is held sparse
+            (40, 60, 41),  # |I| > m: the Gram matrix is singular apart from the shift
+            (256, 128, 33),  # 256 * 33^2 just over 2^18
+        ],
+    )
+    def test_no_inverse_outside_the_three_conditions(self, m, n, k):
+        hvp, _ = logistic_operator(np.random.default_rng(43), m, n, k)
+        assert not hasattr(hvp, "inverse")
+
+    def test_inverse_offered_at_the_bound(self):
+        hvp, _ = logistic_operator(np.random.default_rng(44), 256, 128, 32)
+        h = operator_matrix(hvp, 32)
+        g = np.random.default_rng(45).normal(size=32)
+        assert_allclose(hvp.inverse(g), np.linalg.solve(h, g), rtol=1e-10)
