@@ -94,9 +94,9 @@ class ObjectiveOracle(ABC):
         the inverse of the same shifted matrix, which the solver hands to
         ``cg_solve`` as its preconditioner.  With the exact inverse, CG's
         first iterate is the Newton step and the residual rule stops it at
-        iteration 1, before the step cap.  The logistic oracle offers one on
-        small dense subspaces (see the module docstring); without one, CG
-        runs unpreconditioned.
+        iteration 1, before the step cap.  The logistic oracle offers one
+        when the slice is held dense, |I| <= m and m*|I|^2 <= 2^18 (the
+        module docstring says why); without one, CG runs unpreconditioned.
         """
 
 

@@ -19,7 +19,9 @@ Nocedal & Wright, Algorithm 5.3); the rules above still read the residual r
 itself.  Without one, z is r and the arithmetic is plain CG's.  The solver
 passes one only when the oracle supplies the exact inverse M = H^-1
 (``ObjectiveOracle.reduced_hessian_operator``), which the logistic oracle
-does on dense-held slices with |I| <= m and m*|I|^2 <= 2^18.  Then the first
+does on dense-held slices with |I| <= m (so the Gram matrix is nonsingular
+apart from the shift) and m*|I|^2 <= 2^18 (so its product and solve stay
+below the sizes where two BLAS threads changed their bytes).  Then the first
 iterate is the Newton step -H^-1 g, whose residual is zero up to rounding, so
 the residual rule fires at j = 1, before the step cap is tested: on small
 dense subspaces a phi step is a Newton step that costs one Hessian product
