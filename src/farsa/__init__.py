@@ -22,7 +22,7 @@ from .datasets import (
 )
 from .ista import IstaConfig, ista_solve
 from .linalg import SparseMatrix
-from .objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective
+from .objectives import LogisticObjective, ObjectiveOracle
 from .solver import (
     IterationRecord,
     IterationType,
@@ -42,7 +42,6 @@ __all__ = [
     "IterationType",
     "LogisticObjective",
     "ObjectiveOracle",
-    "QuadraticObjective",
     "SolveReport",
     "SolveStatus",
     "SolverConfig",

@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
 from collections.abc import Callable
@@ -30,7 +29,15 @@ from .datasets import (
 )
 from .ista import IstaConfig, ista_solve
 from .objectives import LogisticObjective
-from .solver import IterationRecord, SolveReport, SolverConfig, SolveStatus, _check_positive, solve
+from .solver import (
+    IterationRecord,
+    SolveReport,
+    SolverConfig,
+    SolveStatus,
+    _check_positive,
+    _check_time_limit,
+    solve,
+)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -44,26 +51,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(name: str, allow_inf: bool = False) -> Callable[[str], float]:
-    """The argparse type of a float flag: a number that ``_check_positive``
-    accepts, named ``name`` in its message, or inf if ``allow_inf``."""
+def _float_flag(name: str, check=_check_positive) -> Callable[[str], float]:
+    """The argparse type of a float flag: a number that ``check`` accepts,
+    named ``name`` in its message."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r}: not a number") from None
-        if allow_inf and value == math.inf:
-            return value
         try:
-            return _check_positive(name, value)
+            return check(name, value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_epsilon = _positive_float("epsilon")
+_epsilon = _float_flag("epsilon")
 
 
 def _tolerances(text: str) -> list[float]:
@@ -92,7 +97,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lambda",
         dest="lam",
-        type=_positive_float("lambda"),
+        type=_float_flag("lambda"),
         default=None,
         help="l1 weight (default: 1/number of samples)",
     )
@@ -104,7 +109,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--time-limit",
-        type=_positive_float("time-limit", allow_inf=True),
+        type=_float_flag("time-limit", _check_time_limit),
         metavar="SECONDS",
         help=f"wall-time budget of each farsa solve (default: {SolverConfig.time_limit}; "
         "inf for no limit; ignored by --solver ista)",

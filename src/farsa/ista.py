@@ -4,7 +4,9 @@ Serves as the independent reference for the main solver: it shares the same
 termination measure (max{||beta||, ||phi||} <= epsilon) so final objectives
 are directly comparable.  It steps with ``optimality.ista_step``, the shrink
 kernel the measures negate: with unit step the displacement is
--(beta + phi).
+-(beta + phi).  Its step size t starts at 1 and only ever halves.  Every
+t <= 1/L passes the backtracking test, with L the Lipschitz constant of
+grad f, so a whole solve backtracks at most about log2(L) + 1 times.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from .solver import SolveReport, SolveStatus, _check_positive, _initial_point, _
 __all__ = ["IstaConfig", "ista_solve"]
 
 _BACKTRACK_FACTOR = 0.5
-_GROWTH_FACTOR = 1.1
 _MIN_STEP = 1e-20
 
 
 @dataclass(frozen=True)
 class IstaConfig:
-    """Termination tolerance and iteration budget; the step always backtracks."""
+    """Termination tolerance and iteration budget; the step size only halves."""
 
     epsilon: float = 1e-6
     max_iter: int = 100_000
@@ -44,12 +45,14 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
     That step is the soft-threshold update shrink(x - t*grad, t*lam) - x,
     with exact zeros wherever the threshold zeroes x.
 
-    Backtracking halves t until the quadratic upper bound
-    f(x+) <= f(x) + grad^T (x+ - x) + ||x+ - x||^2 / (2t) holds, then grows
-    t by 10% for the next iteration.  f is evaluated once per trial point:
-    the accepted point's value is the next iteration's f(x) and, with the
-    l1 term, the final objective.  ``lam`` (positive, finite), x0 and every
-    gradient are checked as in ``solve``.
+    t starts at 1.  Backtracking halves it until the quadratic upper bound
+    f(x+) <= f(x) + grad^T (x+ - x) + ||x+ - x||^2 / (2t) holds, and the
+    next iteration starts from the accepted t: t only ever halves, as in
+    Beck & Teboulle's backtracking with a nondecreasing Lipschitz estimate
+    L = 1/t.  f is evaluated once per trial point: the accepted point's
+    value is the next iteration's f(x) and, with the l1 term, the final
+    objective.  ``lam`` (positive, finite), x0 and every gradient are
+    checked as in ``solve``.
     """
     _check_positive("lam", lam)
     n = oracle.dim
@@ -81,7 +84,6 @@ def ista_solve(oracle: ObjectiveOracle, lam: float, config: IstaConfig, x0=None)
             if t < _MIN_STEP:
                 raise ArithmeticError(f"backtracking step vanished at iteration {k}")
         x, f_x = x_next, f_next
-        t *= _GROWTH_FACTOR
         if not np.isfinite(x).all():
             raise ArithmeticError(f"iterate became non-finite at iteration {k}")
 

@@ -26,7 +26,7 @@ Gram matrix ``A_I^T W A_I`` is not singular apart from the shift, and
 m*|I|^2 <= 2^18, which keeps the Gram product and its solve below the sizes
 where two BLAS threads changed their bytes, so the iterates do not depend on
 the thread count (``linalg.gram_inverse``).  Larger subspaces run plain
-Newton-CG.  The quadratic test oracle offers no inverse.
+Newton-CG.
 
 The margins ``t = y*(A@x)`` feed all three, and a solver asks for them at
 the same point several times: the line search's value at the point it
@@ -53,12 +53,11 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SparseMatrix, as_vector, dot, gram_inverse, spmv, spmv_transpose
+from .linalg import SparseMatrix, gram_inverse, spmv, spmv_transpose
 
 __all__ = [
     "ObjectiveOracle",
     "LogisticObjective",
-    "QuadraticObjective",
     "HESSIAN_SHIFT",
 ]
 
@@ -179,38 +178,4 @@ class LogisticObjective(ObjectiveOracle):
         inverse = gram_inverse(sub, weights, HESSIAN_SHIFT)
         if inverse is not None:
             apply.inverse = inverse
-        return apply
-
-
-class QuadraticObjective(ObjectiveOracle):
-    """Separable quadratic f(x) = 0.5 x^T diag(d) x + c^T x with d > 0.
-
-    Closed-form test oracle: the l1-regularized minimizer is the
-    componentwise soft threshold of -c/d.  Only the constructor checks.
-    """
-
-    def __init__(self, diag, linear):
-        d = as_vector(diag)
-        c = as_vector(linear, d.shape[0])
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be positive")
-        self.diag = d
-        self.linear = c
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
-    def value(self, x) -> float:
-        return 0.5 * dot(x, self.diag * x) + dot(self.linear, x)
-
-    def gradient(self, x) -> np.ndarray:
-        return self.diag * x + self.linear
-
-    def reduced_hessian_operator(self, x, indices):
-        d_reduced = self.diag[indices] + HESSIAN_SHIFT
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            return d_reduced * v
-
         return apply

@@ -56,6 +56,14 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _check_time_limit(name: str, value: float) -> float:
+    """value, if it is positive; else ValueError naming it.  inf means no
+    limit; NaN is refused, as it would never stop a solve for time."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters; the defaults are the production values.
@@ -75,9 +83,7 @@ class SolverConfig:
         _check_positive("epsilon", self.epsilon)
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        # inf means no limit; NaN would never stop the solve for time
-        if not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
+        _check_time_limit("time_limit", self.time_limit)
 
 
 class IterationType(Enum):

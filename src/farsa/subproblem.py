@@ -66,7 +66,6 @@ class CgStopReason(Enum):
 class CgOutcome:
     direction: np.ndarray
     iterations: int
-    residual_norm: float
     stop_reason: CgStopReason
 
 
@@ -134,12 +133,12 @@ def cg_solve(
         if not math.isfinite(r_norm):
             raise ArithmeticError(f"non-finite residual at CG iteration {j}")
         if r_norm <= residual_target:
-            return CgOutcome(d, j, r_norm, CgStopReason.RESIDUAL_REDUCED)
+            return CgOutcome(d, j, CgStopReason.RESIDUAL_REDUCED)
         if _orthant_violations(x_restricted, x_signs, d) >= violation_threshold:
-            return CgOutcome(d, j, r_norm, CgStopReason.ORTHANT_VIOLATIONS)
+            return CgOutcome(d, j, CgStopReason.ORTHANT_VIOLATIONS)
         if math.sqrt(dot(d, d)) >= step_norm_limit:
-            return CgOutcome(d, j, r_norm, CgStopReason.STEP_TOO_LARGE)
+            return CgOutcome(d, j, CgStopReason.STEP_TOO_LARGE)
         z, rz_new = preconditioned(r, rr)
         p = z + (rz_new / rz_old) * p
         rz_old = rz_new
-    return CgOutcome(d, g.size, r_norm, CgStopReason.MAX_ITERATIONS)
+    return CgOutcome(d, g.size, CgStopReason.MAX_ITERATIONS)

@@ -1,8 +1,46 @@
-"""Random problem instances shared by solver-level and acceptance tests."""
+"""The separable quadratic test oracle and random problem instances shared
+by solver-level and acceptance tests."""
 
 import numpy as np
 
-from farsa import LogisticObjective, QuadraticObjective, SparseMatrix
+from farsa import LogisticObjective, ObjectiveOracle, SparseMatrix
+from farsa.linalg import as_vector, dot
+from farsa.objectives import HESSIAN_SHIFT
+
+
+class QuadraticObjective(ObjectiveOracle):
+    """Separable quadratic f(x) = 0.5 x^T diag(d) x + c^T x with d > 0.
+
+    Closed-form test oracle: the l1-regularized minimizer is the
+    componentwise soft threshold of -c/d (``quadratic_l1_minimizer``).
+    Only the constructor checks, and the operator offers no inverse.
+    """
+
+    def __init__(self, diag, linear):
+        d = as_vector(diag)
+        c = as_vector(linear, d.shape[0])
+        if np.any(d <= 0):
+            raise ValueError("diagonal entries must be positive")
+        self.diag = d
+        self.linear = c
+
+    @property
+    def dim(self) -> int:
+        return self.diag.shape[0]
+
+    def value(self, x) -> float:
+        return 0.5 * dot(x, self.diag * x) + dot(self.linear, x)
+
+    def gradient(self, x) -> np.ndarray:
+        return self.diag * x + self.linear
+
+    def reduced_hessian_operator(self, x, indices):
+        d_reduced = self.diag[indices] + HESSIAN_SHIFT
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            return d_reduced * v
+
+        return apply
 
 
 def random_quadratic(rng, n):
@@ -13,7 +51,7 @@ def random_quadratic(rng, n):
     return QuadraticObjective(diag, linear), lam
 
 
-def quadratic_l1_minimizer(obj: "QuadraticObjective", lam: float) -> np.ndarray:
+def quadratic_l1_minimizer(obj: QuadraticObjective, lam: float) -> np.ndarray:
     """Closed-form componentwise soft threshold of the separable problem."""
     target = -obj.linear
     return np.where(

@@ -42,7 +42,6 @@ def test_public_names_are_the_ones_callers_use():
         "IterationType",
         "LogisticObjective",
         "ObjectiveOracle",
-        "QuadraticObjective",
         "SolveReport",
         "SolveStatus",
         "SolverConfig",

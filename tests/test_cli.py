@@ -332,6 +332,8 @@ def test_float_flag_rejects_value(capsys, small_problem, command, flag, name, va
     assert exc.value.code == 2
     if value == "abc":
         message = "'abc': not a number"
+    elif flag == "--time-limit":
+        message = f"{name} must be positive"
     else:
         message = f"{name} must be positive and finite"
     assert f"argument {flag}: {message}\n" in capsys.readouterr().err

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import IstaConfig, QuadraticObjective, SolveStatus, ista_solve
+from farsa import IstaConfig, SolveStatus, ista_solve
 from farsa.optimality import ista_step, optimality_measures
-from problems import quadratic_l1_minimizer, random_quadratic
+from problems import QuadraticObjective, quadratic_l1_minimizer, random_quadratic
 from reference import shrink_step_scalar
 
 
@@ -89,6 +89,27 @@ class TestIstaSolve:
             assert report.status is SolveStatus.OPTIMAL
             x_star = quadratic_l1_minimizer(obj, lam)
             assert np.linalg.norm(report.x_final - x_star) <= 1e-7
+
+    def test_never_backtracks_when_the_unit_step_passes(self):
+        # With every diagonal entry at most 1, L <= 1 and the unit step
+        # passes the backtracking test at every point.  A step that never
+        # grows then never fails the test: one value call at x0 and one per
+        # iteration, with no backtrack.
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            obj = QuadraticObjective(rng.uniform(0.2, 1.0, size=30), rng.normal(size=30))
+            calls = 0
+            value = obj.value
+
+            def counting_value(x):
+                nonlocal calls
+                calls += 1
+                return value(x)
+
+            obj.value = counting_value
+            report = ista_solve(obj, 0.5, IstaConfig(epsilon=1e-10))
+            assert report.status is SolveStatus.OPTIMAL
+            assert calls == report.iterations + 1
 
     def test_max_iterations_status(self):
         obj = QuadraticObjective([1.0, 3.7], [-3.0, 2.1])

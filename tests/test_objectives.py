@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import LogisticObjective, QuadraticObjective, SparseMatrix, objectives
+from farsa import LogisticObjective, SparseMatrix, objectives
+from problems import QuadraticObjective
 from reference import fd_gradient, fd_hessian, logistic_value_naive, random_sparse_dense
 
 

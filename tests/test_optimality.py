@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from farsa import QuadraticObjective
 from farsa.optimality import OptimalityPair, ista_step, optimality_measures
+from problems import QuadraticObjective
 from reference import (
     beta_scalar,
     phi_scalar,

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from farsa import (
     IterationType,
     LogisticObjective,
-    QuadraticObjective,
     SparseMatrix,
     SolverConfig,
     SolveStatus,
@@ -21,7 +20,12 @@ from farsa import linalg, objectives, solver
 from farsa.objectives import ObjectiveOracle
 from farsa.optimality import optimality_measures
 from farsa.solver import _clamp
-from problems import quadratic_l1_minimizer, random_logistic_problem, random_quadratic
+from problems import (
+    QuadraticObjective,
+    quadratic_l1_minimizer,
+    random_logistic_problem,
+    random_quadratic,
+)
 
 
 class TestSoftThresholdQuadratic:
