@@ -9,7 +9,8 @@ Run from anywhere inside a source checkout:
 For each seed it builds the benchmark's workload (``bench/run.py``),
 solves every problem once with ``bench/tracer.py``'s ``Tracer`` installed,
 and prints the solver's iterations and the calls of
-``objectives.value``, ``objectives.hessian_product`` and ``linalg.spmv``,
+``objectives.value``, ``objectives.hessian_product``, ``linalg.spmv`` and
+``subproblem.cg_solve`` (phi steps that ran CG rather than a Newton step),
 per seed and in total.  Each seed's row ends in a sha256 over every solve's
 ``x_final``, objective and record fields except ``elapsed``, as
 ``tests/test_reductions.py`` hashes reports: equal hashes on both sides of
@@ -37,7 +38,12 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COLUMNS = ("objectives.value.calls", "objectives.hessian_product.calls", "linalg.spmv.calls")
+COLUMNS = (
+    "objectives.value.calls",
+    "objectives.hessian_product.calls",
+    "linalg.spmv.calls",
+    "subproblem.cg_solve.calls",
+)
 
 
 def parse_seeds(text: str) -> list[int]:

@@ -17,16 +17,10 @@ call ``spmv``/``spmv_transpose`` through this module's names.
 
 On a small dense subspace the logistic operator also carries the exact
 inverse of the same shifted matrix, as its ``inverse`` attribute, and the
-solver hands it to CG as the preconditioner: CG preconditioned by H^-1
-takes the Newton step -H^-1 g as its first iterate, so its residual rule
-stops it there after one Hessian product.  The inverse is offered when
-three conditions hold: the slice ``A_I`` is held dense (its design matrix
-has at most ``linalg.DENSE_MAX_ENTRIES`` entries), |I| <= m, so that the
-Gram matrix ``A_I^T W A_I`` is not singular apart from the shift, and
-m*|I|^2 <= 2^18, which keeps the Gram product and its solve below the sizes
-where two BLAS threads changed their bytes, so the iterates do not depend on
-the thread count (``linalg.gram_inverse``).  Larger subspaces run plain
-Newton-CG.
+solver takes the Newton step -H^-1 g with it: one dense solve, no CG and no
+Hessian product.  ``linalg.gram_inverse`` decides when the inverse is
+offered (the slice ``A_I`` held dense, |I| <= m and m*|I|^2 <= 2^18) and
+says why.  Larger subspaces run Newton-CG.
 
 The margins ``t = y*(A@x)`` feed all three, and a solver asks for them at
 the same point several times: the line search's value at the point it
@@ -90,12 +84,11 @@ class ObjectiveOracle(ABC):
         duplicate-free and in range.  Neither is checked.
 
         The closure may carry an ``inverse`` attribute: a function applying
-        the inverse of the same shifted matrix, which the solver hands to
-        ``cg_solve`` as its preconditioner.  With the exact inverse, CG's
-        first iterate is the Newton step and the residual rule stops it at
-        iteration 1, before the step cap.  The logistic oracle offers one
-        when the slice is held dense, |I| <= m and m*|I|^2 <= 2^18 (the
-        module docstring says why); without one, CG runs unpreconditioned.
+        the inverse of the same shifted matrix.  With it the solver takes
+        the Newton step d = ``inverse(-g)`` and runs no CG, and raises
+        ArithmeticError unless g^T d < 0 (a NaN step fails that too).  The
+        logistic oracle offers one on small dense slices
+        (``linalg.gram_inverse``); without one, the solver runs CG.
         """
 
 

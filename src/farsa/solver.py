@@ -4,16 +4,18 @@
 measures beta and phi and terminates once max{||beta||, ||phi||} <= epsilon.
 Otherwise it takes one of two branches: when ||beta|| <= ||phi|| (the
 paper's gamma fixed at 1) a phi-iteration optimizes over the support of phi
-with a reduced Newton step on small dense subspaces, Newton-CG otherwise,
-and the projected line search; else a beta-iteration frees zero variables
-along a safeguarded scaled direction with Armijo backtracking.  Each branch
-builds its whole step here: the direction d, the Armijo slope (g^T d over
-the support for phi, -||d||^2 for beta) and, from the search's outcome, the
-kind of iteration; the searches only backtrack along d.  Both branches end
-the same way: the step norm, the new iterate and one ``IterationRecord``.
-Each record's objective, and the report's, is the value the line search
-computed at the point it accepted; F is evaluated afresh only for a solve
-that takes no iteration.
+with a reduced Newton step where the oracle's operator carries its exact
+inverse (small dense subspaces), Newton-CG otherwise, and the projected line
+search; else a beta-iteration frees zero variables along a safeguarded
+scaled direction with Armijo backtracking.  Each branch builds its whole
+step here: the direction d, the Armijo slope (g^T d over the support for
+phi, -||d||^2 for beta) and, from the search's outcome, the kind of
+iteration; the searches only backtrack along d.  A phi slope that is not
+negative raises ArithmeticError.  A Newton step records 0 CG iterations, as
+a beta step does.  Both branches end the same way: the step norm, the new
+iterate and one ``IterationRecord``.  Each record's objective, and the
+report's, is the value the line search computed at the point it accepted;
+F is evaluated afresh only for a solve that takes no iteration.
 
 The adaptive scale factors are built from the norm of the most recent step
 of the same type: the CG step cap is max{1e-3, min{1e3, 10*prev}} and the
@@ -183,23 +185,34 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
         try:
             # the paper's gamma = 1: a tie takes the phi branch
             if pair.beta_norm <= pair.phi_norm:
-                # phi: reduced Newton-CG over the support of phi, projected search
+                # phi: a reduced Newton or Newton-CG step over the support of
+                # phi, then the projected search
                 indices = np.flatnonzero(pair.phi != 0.0)
                 g_reduced = grad[indices] + config.lam * np.sign(x[indices])
-                step_cap = _clamp(10.0 * last_phi_step_norm, 1e-3, 1e3)
                 hvp = oracle.reduced_hessian_operator(x, indices)
-                # the exact inverse, when the oracle has one, makes CG a Newton step
-                outcome = cg_solve(
-                    hvp, g_reduced, x[indices], step_cap, getattr(hvp, "inverse", None)
-                )
+                inverse = getattr(hvp, "inverse", None)
+                if inverse is None:
+                    step_cap = _clamp(10.0 * last_phi_step_norm, 1e-3, 1e3)
+                    outcome = cg_solve(hvp, g_reduced, x[indices], step_cap)
+                    direction, cg_iterations = outcome.direction, outcome.iterations
+                    del outcome
+                else:
+                    # the oracle's exact inverse: the Newton step, no CG
+                    direction, cg_iterations = inverse(-g_reduced), 0
+                slope = dot(g_reduced, direction)
+                # "not <" also refuses a NaN slope, e.g. from a non-finite inverse
+                if not slope < 0.0:
+                    raise ArithmeticError(
+                        f"phi direction does not descend at iteration {len(trace)}: "
+                        f"g^T d = {slope}"
+                    )
                 d = np.zeros_like(x)
-                d[indices] = outcome.direction
-                result = linesearch_phi(f_total, x, d, dot(g_reduced, outcome.direction))
+                d[indices] = direction
+                result = linesearch_phi(f_total, x, d, slope)
                 kind = IterationType.PHI_ADD if result.added else IterationType.PHI_SD
-                cg_iterations = outcome.iterations
                 # free the branch's arrays now, as a function return would:
                 # held into the next iteration they raise a solve's peak memory
-                del indices, g_reduced, hvp, outcome, d
+                del indices, g_reduced, hvp, inverse, direction, d
             else:
                 # beta: free zero variables along the safeguarded scaled direction
                 scale = _clamp(last_beta_step_norm, 1e-5, 1.0)

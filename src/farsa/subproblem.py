@@ -14,19 +14,11 @@ subspace: the residual rule stops at max{RESIDUAL_REDUCTION * ||r0||,
 RESIDUAL_FLOOR}, the orthant rule at max{1e3, 0.1*|I|} sign flips, and the
 iteration cap is |I|, where CG is exact in exact arithmetic.
 
-``cg_solve`` optionally takes a preconditioner z = M r (preconditioned CG,
-Nocedal & Wright, Algorithm 5.3); the rules above still read the residual r
-itself.  Without one, z is r and the arithmetic is plain CG's.  The solver
-passes one only when the oracle supplies the exact inverse M = H^-1
-(``ObjectiveOracle.reduced_hessian_operator``), which the logistic oracle
-does on dense-held slices with |I| <= m (so the Gram matrix is nonsingular
-apart from the shift) and m*|I|^2 <= 2^18 (so its product and solve stay
-below the sizes where two BLAS threads changed their bytes).  Then the first
-iterate is the Newton step -H^-1 g, whose residual is zero up to rounding, so
-the residual rule fires at j = 1, before the step cap is tested: on small
-dense subspaces a phi step is a Newton step that costs one Hessian product
-and one dense solve.  The Newton step meets both acceptance conditions, since
-(g^T H^-1 g)(g^T H g) >= (g^T g)^2 by Cauchy-Schwarz.
+``cg_solve`` is plain CG.  The solver runs it only when the oracle's
+operator carries no exact inverse of H
+(``ObjectiveOracle.reduced_hessian_operator``); with one, the solver takes
+the Newton step -H^-1 g directly.  That step meets both acceptance
+conditions too, since (g^T H^-1 g)(g^T H g) >= (g^T g)^2 by Cauchy-Schwarz.
 """
 
 from __future__ import annotations
@@ -84,7 +76,6 @@ def cg_solve(
     g: np.ndarray,
     x_restricted: np.ndarray,
     step_norm_limit: float,
-    preconditioner: Hvp | None = None,
 ) -> CgOutcome:
     """Run CG on H d = -g from d = 0, stopping at the first satisfied rule.
 
@@ -92,28 +83,17 @@ def cg_solve(
     reduced, too many orthant violations, step norm at ``step_norm_limit``.
     Because CG iterate norms grow monotonically from d = 0, the step-norm
     rule acts as an implicit trust region.  Exhausting the iteration cap
-    returns MAX_ITERATIONS with the last iterate.  ``preconditioner`` maps a
-    residual r to z = M r with M symmetric positive definite; it is applied
-    only after an iterate that no rule stops at, and to the initial residual.
+    returns MAX_ITERATIONS with the last iterate.
     """
-
-    def preconditioned(r: np.ndarray, rr: float) -> tuple[np.ndarray, float]:
-        # (z, r^T z); without a preconditioner z is r and r^T z is r^T r
-        if preconditioner is None:
-            return r, rr
-        z = preconditioner(r)
-        return z, dot(r, z)
-
     d = np.zeros(g.shape[0])
     r = -g  # residual b - H d for b = -g
-    rr = dot(r, r)
-    r_norm = math.sqrt(rr)
+    rr_old = dot(r, r)
+    r_norm = math.sqrt(rr_old)
     residual_target = max(RESIDUAL_REDUCTION * r_norm, RESIDUAL_FLOOR)
     violation_threshold = max(1e3, 1e-1 * g.size)
 
     x_signs = np.sign(x_restricted)
-    z, rz_old = preconditioned(r, rr)
-    p = z
+    p = r
     for j in range(1, g.size + 1):
         hp = hvp(p)
         if hp.shape != p.shape:
@@ -125,11 +105,11 @@ def cg_solve(
             raise ArithmeticError(
                 f"oracle not positive definite at CG iteration {j}: p^T H p = {curvature}"
             )
-        alpha = rz_old / curvature
+        alpha = rr_old / curvature
         d = d + alpha * p
         r = r - alpha * hp
-        rr = dot(r, r)
-        r_norm = math.sqrt(rr)
+        rr_new = dot(r, r)
+        r_norm = math.sqrt(rr_new)
         if not math.isfinite(r_norm):
             raise ArithmeticError(f"non-finite residual at CG iteration {j}")
         if r_norm <= residual_target:
@@ -138,7 +118,6 @@ def cg_solve(
             return CgOutcome(d, j, CgStopReason.ORTHANT_VIOLATIONS)
         if math.sqrt(dot(d, d)) >= step_norm_limit:
             return CgOutcome(d, j, CgStopReason.STEP_TOO_LARGE)
-        z, rz_new = preconditioned(r, rr)
-        p = z + (rz_new / rz_old) * p
-        rz_old = rz_new
+        p = r + (rr_new / rr_old) * p
+        rr_old = rr_new
     return CgOutcome(d, g.size, CgStopReason.MAX_ITERATIONS)

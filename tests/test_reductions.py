@@ -47,8 +47,8 @@ print(report.status.value, report.iterations, hash_reports([report]))
 # it, and one of 192 x 64 whose phi supports lie on both sides of the Newton
 # step's bound m*|I|^2 <= 2^18 (|I| <= 36).  Prints the statuses, which
 # matrices hold a dense copy (and so multiply by BLAS gemv), the number of
-# phi iterations whose CG stopped after one iteration (the Newton steps, with
-# Gram products and dense solves), and the hash.
+# phi iterations that ran no CG (the Newton steps, with Gram products and
+# dense solves), and the hash.
 _SMALL_SOLVES_AND_HASH = _HASH_REPORTS + """
 rng = np.random.default_rng(2**15)
 shapes = []
@@ -65,10 +65,10 @@ for m, n in shapes:
     matrix = SparseMatrix(m, n, a.indptr, a.indices, a.data)
     reports.append(solve(LogisticObjective(matrix, labels), SolverConfig(lam=lam)))
     dense_held.append(int(matrix._dense is not None))
-one_step = sum(
-    r.cg_iterations == 1 for report in reports for r in report.trace if r.type.value != "beta"
+newton = sum(
+    r.cg_iterations == 0 for report in reports for r in report.trace if r.type.value != "beta"
 )
-print(sorted({r.status.value for r in reports}), dense_held, one_step, hash_reports(reports))
+print(sorted({r.status.value for r in reports}), dense_held, newton, hash_reports(reports))
 """
 
 
@@ -98,8 +98,8 @@ def test_iterates_do_not_depend_on_blas_threads():
 
 def test_dense_products_do_not_depend_on_blas_threads():
     one, two = (_solve_with_threads(_SMALL_SOLVES_AND_HASH, t) for t in (1, 2))
-    # 117 one-iteration phi steps: the Newton path engages (2 without it)
-    assert one.startswith("['optimal'] " + repr([1] * 21 + [0, 1]) + " 117 ")
+    # 115 Newton steps: the Newton path engages (0 without it)
+    assert one.startswith("['optimal'] " + repr([1] * 21 + [0, 1]) + " 115 ")
     assert one == two
 
 

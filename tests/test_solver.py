@@ -17,7 +17,7 @@ from farsa import (
     solve,
 )
 from farsa import linalg, objectives, solver
-from farsa.objectives import ObjectiveOracle
+from farsa.objectives import HESSIAN_SHIFT, ObjectiveOracle
 from farsa.optimality import optimality_measures
 from farsa.solver import _clamp
 from problems import (
@@ -259,6 +259,64 @@ class TestFailureModes:
 
         with pytest.raises(ArithmeticError, match="iteration 0"):
             solve(DivergentOracle(), SolverConfig(lam=1.0))
+
+
+class InverseOracle(QuadraticObjective):
+    """The separable quadratic of diagonal (1, 2), whose operator carries
+    ``make_inverse(exact)``, given the exact inverse ``exact``."""
+
+    def __init__(self, make_inverse):
+        super().__init__([1.0, 2.0], [-3.0, 4.0])
+        self.make_inverse = make_inverse
+
+    def reduced_hessian_operator(self, x, indices):
+        apply = super().reduced_hessian_operator(x, indices)
+        d_reduced = self.diag[indices] + HESSIAN_SHIFT
+        apply.inverse = self.make_inverse(lambda b: b / d_reduced)
+        return apply
+
+
+def count_slice_products(monkeypatch, oracle) -> list:
+    """Count ``A_I.T @ v`` products with column slices of the design matrix:
+    one per reduced Hessian product."""
+    count = [0]
+    spmv_transpose = objectives.spmv_transpose
+
+    def counting(matrix, v):
+        if matrix is not oracle.matrix:
+            count[0] += 1
+        return spmv_transpose(matrix, v)
+
+    monkeypatch.setattr(objectives, "spmv_transpose", counting)
+    return count
+
+
+class TestNewtonStep:
+    """A phi step on an operator with an exact inverse is the Newton step."""
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_newton_steps_make_no_hessian_product(self, monkeypatch, seed):
+        # 40 x 60 is held dense, so supports of at most 40 take the Newton step
+        # and larger ones run CG
+        oracle, lam = random_logistic_problem(np.random.default_rng(seed), 40, 60)
+        products = count_slice_products(monkeypatch, oracle)
+        report = solve(oracle, SolverConfig(lam=lam))
+        assert report.status is SolveStatus.OPTIMAL
+        phi = [r.cg_iterations for r in report.trace if r.type is not IterationType.BETA]
+        assert phi.count(0) > 0 and len(phi) > phi.count(0)
+        # one product per CG iteration, none for a Newton step
+        assert products[0] == sum(phi)
+
+    def test_non_finite_inverse_raises(self):
+        oracle = InverseOracle(lambda exact: lambda b: np.full_like(b, np.nan))
+        with pytest.raises(ArithmeticError):
+            solve(oracle, SolverConfig(lam=1.0), x0=[1.0, -1.0])
+
+    def test_ascent_inverse_raises(self):
+        # the inverse's sign flipped: inverse(-g) is +H^-1 g, an ascent direction
+        oracle = InverseOracle(lambda exact: lambda b: -exact(b))
+        with pytest.raises(ArithmeticError, match="does not descend at iteration 0"):
+            solve(oracle, SolverConfig(lam=1.0), x0=[1.0, -1.0])
 
 
 class UncheckedOracle(ObjectiveOracle):
