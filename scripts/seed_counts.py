@@ -18,6 +18,21 @@ per seed and in total.  Each seed's row ends in a sha256 over every solve's
 benchmark checks it (status OPTIMAL and ``problems.check_solution``);
 failed solves are listed.  Nothing under ``bench/`` is changed.
 
+Before the counted pass, each seed's row also gets two memory figures from
+``tracemalloc``, over a pass that loads every problem and solves it once
+without the tracer: the peak of traced bytes during that pass, and the
+bytes it still holds at its end (the loaded matrices and oracles, and the
+reports).  The inputs that ``bench/run.py`` generates are allocated before
+tracing starts and are not counted.  Like the counts, both figures repeat
+exactly when the same command runs again, so a memory change gets a gate
+that does not depend on the machine's speed.  Python and numpy key some
+internal tables by string hash or object address, which moves the traced
+bytes by a few kB from process to process; so the script runs itself again
+under ``PYTHONHASHSEED=0`` and ``setarch -R`` (no address randomization)
+unless both are already in effect, and says so where ``setarch`` is
+missing or refused.  Another seed list or environment can still move the
+figures by a few kB, about 0.05% of tall's.
+
 With ``--base`` the revision is extracted as ``scripts/paired_bench.py``
 does (with the working tree's ``bench/``), counted there, and printed
 before the working tree's counts.  The exit status is 1 if any solve on
@@ -28,12 +43,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +61,10 @@ COLUMNS = (
     "linalg.spmv.calls",
     "subproblem.cg_solve.calls",
 )
+# tracemalloc figures of the untraced pass, not summed in the total row
+MEMORY_COLUMNS = ("tracemalloc.peak_bytes", "tracemalloc.held_bytes")
+# the personality flag that setarch -R sets
+ADDR_NO_RANDOMIZE = 0x0040000
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -67,13 +88,30 @@ def hash_reports(reports) -> str:
     return digest.hexdigest()
 
 
-def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, list[str], str]:
-    """One traced pass over a seed's problems: its counts, failed solves and hash."""
+def memory_pass(workload) -> tuple[int, int]:
+    """Traced bytes of one untraced setup-plus-solve pass: its peak, and what it still holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for step in workload.setup_steps:
+            step()
+        _, results = workload.run_unit()
+        # read while the reports are referenced, so that held counts them
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
+
+
+def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, tuple[int, int], list[str], str]:
+    """A seed's counts, memory figures (peak, held), failed solves and hash."""
     farsa = run.import_farsa()
     work_dir = run.WORK_DIR / f"counts-{os.getpid()}"
     work_dir.mkdir(parents=True)
     try:
         workload = run.build_workload(farsa, workload_name, seed, work_dir)
+        memory = memory_pass(workload)
+        # the counted pass starts from fresh oracles, as the benchmark's do
         for step in workload.setup_steps:
             step()
     finally:
@@ -97,7 +135,7 @@ def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, list[str],
             failed.append(f"seed {seed} problem {index}: {error}")
     for column in COLUMNS:
         counts[column] = tracer.calls[column.removesuffix(".calls")]
-    return counts, failed, hash_reports(report for _, report in results)
+    return counts, memory, failed, hash_reports(report for _, report in results)
 
 
 def print_counts(workload: str, seeds: list[int]) -> int:
@@ -110,12 +148,17 @@ def print_counts(workload: str, seeds: list[int]) -> int:
     failed: list[str] = []
     header = None
     for seed in seeds:
-        counts, seed_failed, digest = seed_counts(run, workload, seed)
+        counts, memory, seed_failed, digest = seed_counts(run, workload, seed)
         if header is None:
             header = list(counts)
             print(f"# {workload} at {ROOT}")
-            print(f"{'seed':<6}" + "".join(f"{name:>34}" for name in header) + "  sha256")
-        print(f"{seed:<6}" + "".join(f"{counts[name]:>34,}" for name in header) + f"  {digest}")
+            print(
+                f"{'seed':<6}"
+                + "".join(f"{name:>34}" for name in header + list(MEMORY_COLUMNS))
+                + "  sha256"
+            )
+        row = [counts[name] for name in header] + list(memory)
+        print(f"{seed:<6}" + "".join(f"{value:>34,}" for value in row) + f"  {digest}")
         totals.update(counts)
         failed.extend(seed_failed)
     print(f"{'total':<6}" + "".join(f"{totals[name]:>34,}" for name in header))
@@ -125,6 +168,25 @@ def print_counts(workload: str, seeds: list[int]) -> int:
     return 1 if failed else 0
 
 
+def layout_is_fixed() -> bool:
+    """Whether string hashes and addresses repeat from process to process."""
+    try:
+        personality = int(Path("/proc/self/personality").read_text(), 16)
+    except (OSError, ValueError):
+        return False
+    return os.environ.get("PYTHONHASHSEED") == "0" and bool(personality & ADDR_NO_RANDOMIZE)
+
+
+def relaunch_with_fixed_layout(argv: list[str]) -> int | None:
+    """Run this script again with both fixed; None if ``setarch -R`` is unavailable."""
+    setarch = shutil.which("setarch")
+    if setarch is None or subprocess.run([setarch, "-R", "true"], capture_output=True).returncode:
+        return None
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    command = [setarch, "-R", sys.executable, str(Path(__file__).resolve()), *argv]
+    return subprocess.run(command, env=env, check=False).returncode
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -132,6 +194,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", help="git revision to count as well, before the working tree")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
+    if not layout_is_fixed():
+        status = relaunch_with_fixed_layout(sys.argv[1:] if argv is None else argv)
+        if status is not None:
+            return status
+        print("# setarch -R unavailable: the memory figures may differ by a few kB between runs")
     if args.base is None:
         return print_counts(args.workload, seeds)
 

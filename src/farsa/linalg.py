@@ -8,21 +8,38 @@ on the BLAS thread count.  Only ``as_vector`` (the boundary's check) and
 ``check_csr``, the one definition of a valid matrix that the constructor and
 the LIBSVM parser share, check; the products and slices trust their inputs.
 
-A ``SparseMatrix`` wraps one scipy matrix.  Matrices built through the
-constructor are compressed sparse row (CSR), the layout of LIBSVM rows and
-of ``A @ x``.  A matrix of at most ``DENSE_MAX_ENTRIES`` entries (rows times
-columns) multiplies and slices a dense copy that it builds on its first
-product or slice, since scipy's per-call dispatch costs more than the
-arithmetic at that size.  Its products are BLAS matrix-vector products
-(gemv), never matrix-matrix ones; they give the same bytes on one and two
-BLAS threads, which ``tests/test_reductions.py`` checks.  A larger
-matrix slices its columns, which the reduced-space Hessian products use,
-from a column-major (CSC) copy built on its first slice and kept; the
-slices stay CSC.  Its transposed products use a view of the same arrays,
-created once per matrix.  A slice keeps the form of the matrix it was cut
-from, so a slice of a larger matrix never reaches the dense form; within one
-form a slice gives bitwise the products of the same columns built through
-the constructor (see ``SparseMatrix``).
+A ``SparseMatrix`` wraps one scipy matrix.  The constructor takes and
+checks compressed sparse row (CSR) arrays, the layout of LIBSVM rows.  A
+matrix of at most ``DENSE_MAX_ENTRIES`` entries (rows times columns)
+multiplies and slices a dense copy that it builds on its first product or
+slice, since scipy's per-call dispatch costs more than the arithmetic at
+that size.  Its products are BLAS matrix-vector products (gemv), never
+matrix-matrix ones; they give the same bytes on one and two BLAS threads,
+which ``tests/test_reductions.py`` checks.
+
+A larger matrix slices its columns, which the reduced-space Hessian
+products use, from its column-major (CSC) form, and the slices stay CSC.
+Which sparse layout it keeps follows its shape:
+
+- With at least as many rows as columns it is converted to CSC once, in the
+  constructor, and keeps only that: ``A @ x`` scatters over its columns,
+  ``A.T @ y`` gathers over the rows of its transposed (CSR) view, and a
+  slice cuts it directly.  On a 20,000 x 2,000 benchmark problem (400,000
+  entries; a 2-core Xeon, one BLAS thread, best of 15 timings) the scatter
+  took 490-520 us against CSR's 430 us and the gather 360 us against
+  440-520 us through CSR's transpose, so a product pair costs about the
+  same; one held copy instead of two halves the memory the benchmark's
+  tall solves hold (41.5 to 21.4 MB traced over four problems).
+- With more columns than rows it keeps its CSR for ``A @ x``, where CSC's
+  scatter is slower (820-860 us against 470-490 us on a 5,000 x 50,000
+  problem of 500,000 entries), and builds a CSC copy on its first slice
+  and keeps that too.
+
+Its transposed products use a view of the same arrays, created once per
+matrix.  A slice keeps the form of the matrix it was cut from, so a slice
+of a larger matrix never reaches the dense form; within one form a slice
+gives bitwise the products of the same columns built through the
+constructor (see ``SparseMatrix``).
 
 ``gram_inverse`` is the one matrix-matrix product and the one dense solve.
 It applies the inverse of a weighted Gram matrix ``A.T diag(w) A + shift*I``
@@ -135,7 +152,11 @@ class SparseMatrix:
     definition of a valid matrix; float64 values and int32 indices are not
     copied.  ``row_offsets``, ``col_indices`` and ``values`` are read-only
     views of its CSR arrays, with the index dtype scipy picked (int32
-    whenever the indices fit).
+    whenever the indices fit).  The one exception is a tall matrix held
+    sparse (more than ``DENSE_MAX_ENTRIES`` entries and ``n_rows >=
+    n_cols``): the constructor converts it to CSC and keeps only that, as
+    the module docstring explains, and a read of those three arrays builds
+    its CSR once, equal to the arrays it was built from.
 
     A matrix of at most ``DENSE_MAX_ENTRIES`` entries also holds one
     C-contiguous float64 dense copy, built on its first product or slice:
@@ -145,13 +166,14 @@ class SparseMatrix:
     and ``to_dense``) only when one of those is read, by slicing the scipy
     form of the matrix it was cut from, so stored zeros stay stored.
 
-    A larger matrix holds no dense copy.  ``column_submatrix`` slices a
-    column-major (CSC) copy, built on the first call and kept, and returns
-    the slice in CSC form, unchecked: slicing a validated matrix keeps its
-    invariants.  Its CSR arrays are converted once, on the first read.
-    ``spmv_transpose`` multiplies by a transposed view of the arrays,
-    created on its first call and kept.  A slice of a larger matrix stays
-    sparse however few columns it has.
+    A larger matrix holds no dense copy.  ``column_submatrix`` slices its
+    column-major (CSC) form (a tall matrix's only form, a wide matrix's copy
+    built on the first call and kept) and returns the slice in CSC form,
+    unchecked: slicing a validated matrix keeps its invariants.  Its CSR
+    arrays are converted once, on the first read.  ``spmv_transpose``
+    multiplies by a transposed view of the arrays, created on its first
+    call and kept.  A slice of a larger matrix stays sparse however few
+    columns it has.
 
     Products are bit-stable on a given platform.  Sparse products are
     scipy's kernels: output entry ``i`` of ``A @ x`` is accumulated from 0
@@ -174,7 +196,10 @@ class SparseMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         offsets, cols = _index_array(row_offsets), _index_array(col_indices)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        self._matrix = check_csr(n_rows, n_cols, offsets, cols, values)
+        matrix = check_csr(n_rows, n_cols, offsets, cols, values)
+        if n_rows * n_cols > DENSE_MAX_ENTRIES and n_rows >= n_cols:
+            matrix = matrix.tocsc()
+        self._matrix = matrix
         self._shape = (n_rows, n_cols)
 
     @cached_property
@@ -192,6 +217,7 @@ class SparseMatrix:
 
     @cached_property
     def _csc(self):
+        # a matrix already held in CSC is its own copy
         return self._matrix.tocsc()
 
     @cached_property

@@ -9,11 +9,12 @@ same operator that the CG solver sees.
 
 The logistic oracle applies ``A_I^T (w * (A_I v)) + shift*v``, where
 ``A_I`` holds the columns ``I`` of the design matrix and ``w`` the
-per-sample curvature at ``x``.  Each operator setup slices ``A_I`` once;
-the slices come from a column-major copy of the design matrix that its
-first setup builds and later setups reuse, and each slice keeps the
-transposed view its first product creates.  Value, gradient and operator
-call ``spmv``/``spmv_transpose`` through this module's names.
+per-sample curvature at ``x``.  Each operator setup slices ``A_I`` once
+from the column-major form of the design matrix (a tall matrix's only
+form, a wide matrix's copy that its first setup builds and later setups
+reuse; see ``linalg``), and each slice keeps the transposed view its first
+product creates.  Value, gradient and operator call
+``spmv``/``spmv_transpose`` through this module's names.
 
 On a small dense subspace the logistic operator also carries the exact
 inverse of the same shifted matrix, as its ``inverse`` attribute, and the
@@ -26,8 +27,9 @@ The margins ``t = y*(A@x)`` feed all three, and a solver asks for them at
 the same point several times: the line search's value at the point it
 accepts, then the next gradient and the next operator setup.  So the
 logistic oracle keeps the margins of the last point it computed them at,
-together with ``e = exp(-|t|)``, and a call at an equal point costs an O(n)
-comparison instead of an O(nnz) product and an exponential per sample.
+together with ``e = exp(-|t|)`` and, once asked for, the loss there; a call
+at an equal point costs an O(n) comparison instead of an O(nnz) product and
+an exponential per sample, and a value there costs nothing more.
 Every per-sample quantity is formed from ``e`` with no further exponential
 (the newGLMNET scheme of Yuan, Ho & Lin, JMLR 2012):
 
@@ -104,12 +106,13 @@ class LogisticObjective(ObjectiveOracle):
     sample serves all three.
 
     The oracle remembers one entry: a private copy of the last ``x`` whose
-    margins it computed, those margins and their ``e``.  It matches by
-    value, not by identity, so a caller may mutate its arrays in place.
-    The memo costs one n-vector and two m-vectors per oracle and is never
-    handed to a caller.  A hit reuses what the same product gave, so
-    results are bitwise those of a fresh oracle; ``-0.0`` and ``0.0``
-    entries compare equal and also give bitwise the same product.
+    margins it computed, those margins, their ``e`` and the loss f(x) once
+    ``value`` has summed it.  It matches by value, not by identity, so a
+    caller may mutate its arrays in place.  The memo costs one n-vector and
+    two m-vectors per oracle and is never handed to a caller.  A hit reuses
+    what the same product gave, so results are bitwise those of a fresh
+    oracle; ``-0.0`` and ``0.0`` entries compare equal and also give
+    bitwise the same product.
     """
 
     def __init__(self, matrix: SparseMatrix, labels):
@@ -126,6 +129,7 @@ class LogisticObjective(ObjectiveOracle):
         self.labels = y
         self._memo_x: np.ndarray | None = None
         self._memo_margins: tuple[np.ndarray, np.ndarray] | None = None
+        self._memo_value: float | None = None
 
     @property
     def dim(self) -> int:
@@ -141,13 +145,16 @@ class LogisticObjective(ObjectiveOracle):
         np.exp(e, out=e)
         self._memo_x = np.array(x, dtype=np.float64)
         self._memo_margins = (t, e)
+        self._memo_value = None
         return t, e
 
     def value(self, x) -> float:
         t, e = self._margins(x)
-        loss = np.log1p(e)
-        loss -= np.minimum(t, 0.0)
-        return float(np.add.reduce(loss))
+        if self._memo_value is None:
+            loss = np.log1p(e)
+            loss -= np.minimum(t, 0.0)
+            self._memo_value = float(np.add.reduce(loss))
+        return self._memo_value
 
     def gradient(self, x) -> np.ndarray:
         t, e = self._margins(x)

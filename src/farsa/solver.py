@@ -139,7 +139,7 @@ class SolveReport:
 
 def _total_objective(f_value: float, lam: float, x: np.ndarray) -> float:
     """F(x) = f(x) + lam*||x||_1, given f(x)."""
-    return f_value + lam * float(np.sum(np.abs(x)))
+    return f_value + lam * float(np.add.reduce(np.abs(x)))
 
 
 def _clamp(value: float, lower: float, upper: float) -> float:

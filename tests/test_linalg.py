@@ -1,5 +1,7 @@
 """Sparse kernels against hand values and a dense triple-loop oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -285,3 +287,90 @@ def test_dense_copy_built_on_first_product_and_reused():
     assert "_matrix" not in vars(sub)
     spmv(sub, rng.normal(size=sub.n_cols))
     assert "_matrix" not in vars(sub)
+
+
+def _tall_with_stored_zeros(rng):
+    """A sparse-held matrix with at least as many rows as columns, empty rows
+    and columns, and stored zeros."""
+    n = int(rng.integers(40, 200))
+    m = int(rng.integers(max(n, DENSE_MAX_ENTRIES // n + 1), 3 * DENSE_MAX_ENTRIES // n))
+    return _small_with_stored_zeros(rng, m, n)
+
+
+def _built(csr):
+    return SparseMatrix(*csr.shape, csr.indptr, csr.indices, csr.data)
+
+
+def test_tall_matrix_holds_one_column_major_copy():
+    rng = np.random.default_rng(17)
+    csr = _tall_with_stored_zeros(rng)
+    a = _built(csr)
+    held = a._matrix
+    assert held.format == "csc" and a._dense is None
+    spmv(a, rng.normal(size=a.n_cols))
+    spmv_transpose(a, rng.normal(size=a.n_rows))
+    idx = np.flatnonzero(rng.random(a.n_cols) < 0.1)
+    tracemalloc.start()
+    sub = a.column_submatrix(idx)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # the slice cuts the held matrix itself: no second full copy, before or
+    # during the slice, and the transposed view shares its arrays
+    assert a._matrix is held and a._csc is held
+    assert np.shares_memory(a._transpose.data, held.data)
+    assert not {"_csr"} & set(vars(a))
+    full = held.data.nbytes + held.indices.nbytes
+    assert peak < full / 2, f"peak {peak} B against {full} B held"
+    assert np.array_equal(sub.to_dense(), csr.toarray()[:, idx])
+
+
+def test_tall_products_equal_row_major_products_bitwise():
+    rng = np.random.default_rng(18)
+    shapes = [_tall_with_stored_zeros(rng) for _ in range(8)]
+    square = _small_with_stored_zeros(rng, 182, 182)
+    assert square.shape[0] * square.shape[1] > DENSE_MAX_ENTRIES
+    for csr in shapes + [square]:
+        a = _built(csr)
+        assert a._matrix.format == "csc"
+        x, y = rng.normal(size=a.n_cols), rng.normal(size=a.n_rows)
+        assert spmv(a, x).tobytes() == (csr @ x).tobytes()
+        assert spmv_transpose(a, y).tobytes() == (csr.T @ y).tobytes()
+
+
+def test_tall_matrix_reads_back_the_arrays_it_was_built_from():
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        csr = _tall_with_stored_zeros(rng)
+        a = _built(csr)
+        assert a._matrix.format == "csc" and "_csr" not in vars(a)
+        assert np.array_equal(a.row_offsets, csr.indptr)
+        assert np.array_equal(a.col_indices, csr.indices)
+        assert np.array_equal(a.values, csr.data)
+        assert a.nnz == csr.nnz
+        with pytest.raises(ValueError, match="read-only"):
+            a.values[0] = 1.0
+
+
+def test_held_form_follows_the_shape():
+    # sparse-held: tall and square matrices keep one CSC, wide ones their
+    # CSR plus a CSC copy for slices; dense-held ones a dense copy of either
+    # shape, whatever the sparse layout
+    rng = np.random.default_rng(20)
+    for (m, n), form in [
+        ((331, 99), "csc"),
+        ((182, 182), "csc"),
+        ((DENSE_MAX_ENTRIES + 1, 1), "csc"),
+        ((99, 331), "csr"),
+        ((1, DENSE_MAX_ENTRIES + 1), "csr"),
+        ((256, 128), "dense"),
+        ((128, 256), "dense"),
+    ]:
+        a = _built(_small_with_stored_zeros(rng, m, n))
+        sub = a.column_submatrix(np.arange(0, n, 2))
+        if form == "dense":
+            assert a._dense is not None and a._matrix.format == "csr"
+            assert not {"_csc", "_transpose"} & set(vars(a))
+        else:
+            assert a._dense is None and a._matrix.format == form
+            assert (a._csc is a._matrix) == (form == "csc")
+            assert a._csc.format == "csc" and sub._matrix.format == "csc"
