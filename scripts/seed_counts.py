@@ -35,8 +35,10 @@ figures by a few kB, about 0.05% of tall's.
 
 With ``--base`` the revision is extracted as ``scripts/paired_bench.py``
 does (with the working tree's ``bench/``), counted there, and printed
-before the working tree's counts.  The exit status is 1 if any solve on
-either side failed.
+before the working tree's counts.  The output then ends with one line per
+seed saying whether its sha256 and counts equal the base's, with the
+change in its two memory figures.  The exit status is 1 if any solve on
+either side failed, whatever the comparison says.
 """
 
 from __future__ import annotations
@@ -138,14 +140,19 @@ def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, tuple[int,
     return counts, memory, failed, hash_reports(report for _, report in results)
 
 
-def print_counts(workload: str, seeds: list[int]) -> int:
-    """Count this checkout's solves; print a table and any failed solves."""
+def print_counts(workload: str, seeds: list[int]) -> tuple[int, dict]:
+    """Count this checkout's solves; print a table and any failed solves.
+
+    Returns the exit status and each seed's row as ``table_rows`` reads it
+    back from the printed table.
+    """
     # importing the benchmark pins BLAS to its one thread before numpy loads
     sys.path.insert(0, str(ROOT / "bench"))
     import run
 
     totals: Counter = Counter()
     failed: list[str] = []
+    rows = {}
     header = None
     for seed in seeds:
         counts, memory, seed_failed, digest = seed_counts(run, workload, seed)
@@ -159,13 +166,42 @@ def print_counts(workload: str, seeds: list[int]) -> int:
             )
         row = [counts[name] for name in header] + list(memory)
         print(f"{seed:<6}" + "".join(f"{value:>34,}" for value in row) + f"  {digest}")
+        rows[seed] = (row[: len(header)], list(memory), digest)
         totals.update(counts)
         failed.extend(seed_failed)
     print(f"{'total':<6}" + "".join(f"{totals[name]:>34,}" for name in header))
     print(f"failed solves: {len(failed)}")
     for line in failed:
         print(f"  {line}")
-    return 1 if failed else 0
+    return (1 if failed else 0), rows
+
+
+def table_rows(text: str) -> dict[int, tuple[list[int], list[int], str]]:
+    """Each seed's (counts, memory figures, sha256) in a table ``print_counts`` printed."""
+    rows = {}
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens and tokens[0].isdigit():
+            values = [int(value.replace(",", "")) for value in tokens[1:-1]]
+            rows[int(tokens[0])] = (values[:-2], values[-2:], tokens[-1])
+    return rows
+
+
+def compare_rows(base_rows: dict, change_rows: dict, seeds: list[int]) -> None:
+    """One line per seed: do its sha256 and counts equal the base's?"""
+    print("# working tree against base")
+    for seed in seeds:
+        if seed not in base_rows or seed not in change_rows:
+            print(f"seed {seed}: missing from a table")
+            continue
+        base_counts, base_memory, base_digest = base_rows[seed]
+        counts, memory, digest = change_rows[seed]
+        same = "equal" if (counts, digest) == (base_counts, base_digest) else "NOT equal"
+        peak, held = (now - then for now, then in zip(memory, base_memory))
+        print(
+            f"seed {seed}: sha256 and counts {same}; "
+            f"tracemalloc peak {peak:+,} B, held {held:+,} B"
+        )
 
 
 def layout_is_fixed() -> bool:
@@ -200,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             return status
         print("# setarch -R unavailable: the memory figures may differ by a few kB between runs")
     if args.base is None:
-        return print_counts(args.workload, seeds)
+        return print_counts(args.workload, seeds)[0]
 
     from paired_bench import extract_revision
 
@@ -213,10 +249,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"# base {args.base}")
         sys.stdout.flush()
         command = [sys.executable, str(script), "--workload", args.workload, "--seeds", args.seeds]
-        base_status = subprocess.run(command, cwd=base, check=False).returncode
+        base_run = subprocess.run(command, cwd=base, check=False, stdout=subprocess.PIPE, text=True)
+    print(base_run.stdout, end="")
     print("# working tree")
-    change_status = print_counts(args.workload, seeds)
-    return 1 if base_status or change_status else 0
+    change_status, change_rows = print_counts(args.workload, seeds)
+    compare_rows(table_rows(base_run.stdout), change_rows, seeds)
+    return 1 if base_run.returncode or change_status else 0
 
 
 if __name__ == "__main__":

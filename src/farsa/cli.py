@@ -85,10 +85,11 @@ def _scale_mode(text: str) -> tuple[str, int | None]:
         return text, None
     if text.startswith("pixels:"):
         bits = text.removeprefix("pixels:")
-        if bits.isdigit() and int(bits) > 0:
+        # scale_pixels' range: above 53 bits 2^bits - 1 is not a float64
+        if bits.isdigit() and 1 <= int(bits) <= 53:
             return "pixels", int(bits)
     raise argparse.ArgumentTypeError(
-        f"{text!r}: expected one of none, minus1-1, pixels:<bits>"
+        f"{text!r}: expected one of none, minus1-1, pixels:<bits> with bits in 1-53"
     )
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import SparseMatrix, check_csr
 
@@ -249,13 +250,9 @@ def parse_libsvm(
     if n_cols == 0:
         raise DatasetFormatError("no features in input")
 
-    matrix = SparseMatrix(
-        n_rows,
-        n_cols,
-        np.frombuffer(row_offsets, dtype=np.int64),
-        np.frombuffer(col_indices, dtype=col_indices.typecode),
-        np.frombuffer(values, dtype=np.float64),
-    )
+    # every block passed check_csr, so their concatenation is valid unchecked
+    arrays = tuple(np.frombuffer(a, dtype=a.typecode) for a in (values, col_indices, row_offsets))
+    matrix = SparseMatrix._derived(sp.csr_matrix(arrays, shape=(n_rows, n_cols)))
     return Dataset(matrix=matrix, labels=np.frombuffer(labels, dtype=np.float64), name=name)
 
 
@@ -326,26 +323,35 @@ def scale_minus1_1(dataset: Dataset) -> Dataset:
 
 
 def scale_pixels(dataset: Dataset, bits: int) -> Dataset:
-    """Divide integer pixel values in [0, 2^bits - 1] by 2^bits.
+    """Divide integer pixel values in [0, 2^bits - 1] by 2^bits, for bits in 1-53.
 
     The sparsity pattern is preserved (0 -> 0) and all outputs lie in [0, 1).
+    Above 53 bits 2^bits - 1 is not a float64, so the range check would be
+    inexact.  The scaled matrix keeps the input's layout and shares its
+    index arrays: the values are checked and divided as held, and a finite
+    value divided by 2^bits stays finite, so it is not checked again.  A
+    value that is not an integer in range raises ``ValueError`` naming the
+    first such entry in row-major order.
     """
-    if bits <= 0:
-        raise ValueError("bits must be positive")
-    m = dataset.matrix
+    if not 1 <= bits <= 53:
+        raise ValueError(f"bits must be in 1-53, got {bits}")
+    held = dataset.matrix._matrix
     top = float(2**bits - 1)
-    bad = np.flatnonzero((m.values != np.floor(m.values)) | (m.values < 0) | (m.values > top))
-    if bad.size:
-        j = bad[0]
-        row = int(np.searchsorted(m.row_offsets, j, side="right") - 1)
+
+    def bad(values: np.ndarray) -> np.ndarray:
+        return (values != np.floor(values)) | (values < 0) | (values > top)
+
+    if np.any(bad(held.data)):
+        # the CSR arrays list the entries in row-major order
+        csr = held.tocsr()
+        j = np.flatnonzero(bad(csr.data))[0]
+        row = int(np.searchsorted(csr.indptr, j, side="right") - 1)
         raise ValueError(
-            f"value {m.values[j]} at row {row}, column {m.col_indices[j]} "
+            f"value {csr.data[j]} at row {row}, column {csr.indices[j]} "
             f"is not an integer in [0, {int(top)}]"
         )
-    matrix = SparseMatrix(
-        m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values / float(2**bits)
-    )
-    return replace(dataset, matrix=matrix)
+    scaled = type(held)((held.data / float(2**bits), held.indices, held.indptr), shape=held.shape)
+    return replace(dataset, matrix=SparseMatrix._derived(scaled))
 
 
 def relabel_binary_mnist(labels) -> np.ndarray:

@@ -6,10 +6,15 @@ reduction: each dot product and norm in the package is ``dot``, which sums
 pairwise in numpy's fixed order and never calls BLAS, so no iterate depends
 on the BLAS thread count.  Only ``as_vector`` (the boundary's check) and
 ``check_csr``, the one definition of a valid matrix that the constructor and
-the LIBSVM parser share, check; the products and slices trust their inputs.
+the LIBSVM parser's blocks share, check; the products and slices trust their
+inputs.
 
 A ``SparseMatrix`` wraps one scipy matrix.  The constructor takes and
-checks compressed sparse row (CSR) arrays, the layout of LIBSVM rows.  A
+checks compressed sparse row (CSR) arrays, the layout of LIBSVM rows.  The
+matrices the package derives from checked data (the parser's result, column
+slices, ``datasets.scale_pixels``' scaled copy) are wrapped by one private
+constructor, ``SparseMatrix._derived``, and not checked again; both
+constructors apply the same layout rule below.  A
 matrix of at most ``DENSE_MAX_ENTRIES`` entries (rows times columns)
 multiplies and slices a dense copy that it builds on its first product or
 slice, since scipy's per-call dispatch costs more than the arithmetic at
@@ -21,8 +26,8 @@ A larger matrix slices its columns, which the reduced-space Hessian
 products use, from its column-major (CSC) form, and the slices stay CSC.
 Which sparse layout it keeps follows its shape:
 
-- With at least as many rows as columns it is converted to CSC once, in the
-  constructor, and keeps only that: ``A @ x`` scatters over its columns,
+- With at least as many rows as columns it is converted to CSC once, when
+  it is wrapped, and keeps only that: ``A @ x`` scatters over its columns,
   ``A.T @ y`` gathers over the rows of its transposed (CSR) view, and a
   slice cuts it directly.  On a 20,000 x 2,000 benchmark problem (400,000
   entries; a 2-core Xeon, one BLAS thread, best of 15 timings) the scatter
@@ -30,10 +35,13 @@ Which sparse layout it keeps follows its shape:
   440-520 us through CSR's transpose, so a product pair costs about the
   same; one held copy instead of two halves the memory the benchmark's
   tall solves hold (41.5 to 21.4 MB traced over four problems).
-- With more columns than rows it keeps its CSR for ``A @ x``, where CSC's
-  scatter is slower (820-860 us against 470-490 us on a 5,000 x 50,000
-  problem of 500,000 entries), and builds a CSC copy on its first slice
-  and keeps that too.
+- With more columns than rows it keeps the layout it was built in: the
+  constructor's CSR, for ``A @ x``, where CSC's scatter is slower (820-860
+  us against 470-490 us on a 5,000 x 50,000 problem of 500,000 entries),
+  plus a CSC copy built on its first slice and kept.
+
+Neither keeps a second copy for readers: the CSR arrays of a CSC-held
+matrix are converted each time they are read.
 
 Its transposed products use a view of the same arrays, created once per
 matrix.  A slice keeps the form of the matrix it was cut from, so a slice
@@ -154,26 +162,26 @@ class SparseMatrix:
     views of its CSR arrays, with the index dtype scipy picked (int32
     whenever the indices fit).  The one exception is a tall matrix held
     sparse (more than ``DENSE_MAX_ENTRIES`` entries and ``n_rows >=
-    n_cols``): the constructor converts it to CSC and keeps only that, as
-    the module docstring explains, and a read of those three arrays builds
-    its CSR once, equal to the arrays it was built from.
+    n_cols``): it is converted to CSC and keeps only that, as the module
+    docstring explains, and each read of those three arrays converts its
+    CSR anew, equal to the arrays it was built from, and keeps none of it.
+    ``_derived`` wraps a scipy matrix built from checked data by the same
+    rule, unchecked.
 
     A matrix of at most ``DENSE_MAX_ENTRIES`` entries also holds one
     C-contiguous float64 dense copy, built on its first product or slice:
     ``spmv`` is ``dense @ x``, ``spmv_transpose`` is ``y @ dense``, and
     ``column_submatrix`` returns a matrix whose dense copy is those columns
     of it.  Such a slice builds its scipy form (for ``nnz``, the CSR arrays
-    and ``to_dense``) only when one of those is read, by slicing the scipy
-    form of the matrix it was cut from, so stored zeros stay stored.
+    and ``to_dense``) from that dense copy, so it stores no zeros.
 
     A larger matrix holds no dense copy.  ``column_submatrix`` slices its
     column-major (CSC) form (a tall matrix's only form, a wide matrix's copy
     built on the first call and kept) and returns the slice in CSC form,
-    unchecked: slicing a validated matrix keeps its invariants.  Its CSR
-    arrays are converted once, on the first read.  ``spmv_transpose``
-    multiplies by a transposed view of the arrays, created on its first
-    call and kept.  A slice of a larger matrix stays sparse however few
-    columns it has.
+    unchecked: slicing a validated matrix keeps its invariants.
+    ``spmv_transpose`` multiplies by a transposed view of the arrays,
+    created on its first call and kept.  A slice of a larger matrix stays
+    sparse however few columns it has.
 
     Products are bit-stable on a given platform.  Sparse products are
     scipy's kernels: output entry ``i`` of ``A @ x`` is accumulated from 0
@@ -196,22 +204,30 @@ class SparseMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         offsets, cols = _index_array(row_offsets), _index_array(col_indices)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        matrix = check_csr(n_rows, n_cols, offsets, cols, values)
+        self._hold(check_csr(n_rows, n_cols, offsets, cols, values))
+
+    @classmethod
+    def _derived(cls, held) -> "SparseMatrix":
+        """Wrap ``held``, a scipy matrix built from checked data, without checking it again."""
+        return cls.__new__(cls)._hold(held)
+
+    def _hold(self, held) -> "SparseMatrix":
+        # the layout rule: a sparse-held matrix with at least as many rows as
+        # columns keeps only CSC (no copy if it is CSC already)
+        n_rows, n_cols = held.shape
         if n_rows * n_cols > DENSE_MAX_ENTRIES and n_rows >= n_cols:
-            matrix = matrix.tocsc()
-        self._matrix = matrix
-        self._shape = (n_rows, n_cols)
+            held = held.tocsc()
+        self._matrix, self._shape = held, (n_rows, n_cols)
+        return self
 
     @cached_property
     def _matrix(self):
-        # set by the constructor and by sparse slices; a dense slice cuts its
-        # scipy form from its source matrix's on first read
-        source, indices = self._source
-        return source._matrix[:, indices]
+        # set when wrapped; a dense slice builds it from its dense copy on first read
+        return sp.csr_matrix(self._dense)
 
     @cached_property
     def _dense(self) -> np.ndarray | None:
-        # slices set this when cut; a constructed matrix decides by its size
+        # slices set this when cut; a wrapped matrix decides by its size
         n_rows, n_cols = self._shape
         return self._matrix.toarray() if n_rows * n_cols <= DENSE_MAX_ENTRIES else None
 
@@ -219,10 +235,6 @@ class SparseMatrix:
     def _csc(self):
         # a matrix already held in CSC is its own copy
         return self._matrix.tocsc()
-
-    @cached_property
-    def _csr(self):
-        return self._matrix.tocsr()
 
     @cached_property
     def _transpose(self):
@@ -246,15 +258,15 @@ class SparseMatrix:
 
     @property
     def row_offsets(self) -> np.ndarray:
-        return _read_only(self._csr.indptr)
+        return _read_only(self._matrix.tocsr().indptr)
 
     @property
     def col_indices(self) -> np.ndarray:
-        return _read_only(self._csr.indices)
+        return _read_only(self._matrix.tocsr().indices)
 
     @property
     def values(self) -> np.ndarray:
-        return _read_only(self._csr.data)
+        return _read_only(self._matrix.tocsr().data)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseMatrix":
@@ -269,13 +281,13 @@ class SparseMatrix:
 
     def column_submatrix(self, indices) -> "SparseMatrix":
         """Restrict to ``indices``: sorted, duplicate-free and in range, unchecked."""
-        sub = SparseMatrix.__new__(SparseMatrix)
-        sub._shape = (self._shape[0], len(indices))
         dense = self._dense
         if dense is None:
-            sub._matrix, sub._dense = self._csc[:, indices], None
+            sub = SparseMatrix._derived(self._csc[:, indices])
+            sub._dense = None  # stays sparse, however few entries it has
         else:
-            sub._source, sub._dense = (self, indices), dense.take(indices, axis=1)
+            sub = SparseMatrix.__new__(SparseMatrix)
+            sub._shape, sub._dense = (self._shape[0], len(indices)), dense.take(indices, axis=1)
         return sub
 
     def __repr__(self) -> str:

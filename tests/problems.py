@@ -3,8 +3,9 @@ by solver-level and acceptance tests."""
 
 import numpy as np
 
-from farsa import LogisticObjective, ObjectiveOracle, SparseMatrix
+from farsa import IterationType, LogisticObjective, ObjectiveOracle, SolveReport, SparseMatrix
 from farsa.linalg import as_vector, dot
+from farsa.linesearch import _EVAL_NOISE
 from farsa.objectives import HESSIAN_SHIFT
 
 
@@ -69,3 +70,33 @@ def random_logistic_problem(rng, m, n, density=0.7):
     obj = LogisticObjective(SparseMatrix.from_dense(dense), labels)
     lam = float(rng.uniform(0.05, 0.3)) * m / 10.0
     return obj, lam
+
+
+def check_records(report: SolveReport) -> None:
+    """Assert the invariants that every record of a FaRSA solve keeps.
+
+    - A record's objective exceeds the one before it by at most the line
+      searches' rounding allowance, 32 machine epsilons of 1 + |F|
+      (``linesearch._EVAL_NOISE``).
+    - A record is a phi step exactly when ``beta_norm <= phi_norm`` (the
+      paper's gamma, fixed at 1).
+    - Beta records ran no CG: ``cg_iterations == 0``.
+    - 0 < ``step_size`` <= 1, and ``elapsed`` never decreases.
+    - The report's objective is the last record's.
+    """
+    previous = None
+    for record in report.trace:
+        where = f"record {record.k}"
+        phi = record.type is not IterationType.BETA
+        assert phi == (record.beta_norm <= record.phi_norm), f"{where}: branch {record.type}"
+        assert phi or record.cg_iterations == 0, f"{where}: a beta step ran CG"
+        assert 0.0 < record.step_size <= 1.0, f"{where}: step size {record.step_size}"
+        if previous is not None:
+            allowance = _EVAL_NOISE * (1.0 + abs(previous.objective))
+            assert record.objective <= previous.objective + allowance, (
+                f"{where}: objective rose from {previous.objective!r} to {record.objective!r}"
+            )
+            assert record.elapsed >= previous.elapsed, f"{where}: elapsed decreased"
+        previous = record
+    if previous is not None:
+        assert report.objective == previous.objective, "report objective is not the last record's"

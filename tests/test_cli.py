@@ -158,6 +158,22 @@ class TestSolveCommand:
         assert out == ""
         assert not trace_path.exists()
 
+    @pytest.mark.parametrize("bits", ["0", "54", "2000"])
+    def test_pixel_bits_outside_1_to_53_rejected_before_loading(self, capsys, bits):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--data", "/no/such/file", "--scale", f"pixels:{bits}"])
+        # exit 2, not the missing file's 1: the flag is refused first
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"'pixels:{bits}'" in captured.err and "bits in 1-53" in captured.err
+        assert captured.out == ""
+
+    def test_pixel_bits_53_accepted(self, capsys):
+        # the flag passes, so the missing file is what fails
+        code, out, err = run_cli(capsys, ["solve", "--data", "/no/such/file", "--scale", "pixels:53"])
+        assert code == 1 and out == ""
+        assert "/no/such/file" in err
+
     def test_trace_file_written(self, capsys, small_problem, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code, _, _ = run_cli(

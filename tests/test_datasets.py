@@ -6,21 +6,27 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from reference import parse_libsvm_scalar
 
 from farsa import (
     Dataset,
     DatasetFormatError,
+    IterationType,
+    LogisticObjective,
+    SolverConfig,
     SparseMatrix,
     load_dataset,
     parse_libsvm,
     relabel_binary_mnist,
     scale_minus1_1,
     scale_pixels,
+    solve,
     write_libsvm,
 )
 from farsa import datasets, linalg
+from farsa.linalg import DENSE_MAX_ENTRIES
 
 
 def random_dataset(rng, m=None, n=None, empty_rows=True):
@@ -34,6 +40,19 @@ def random_dataset(rng, m=None, n=None, empty_rows=True):
         matrix=SparseMatrix.from_dense(dense), labels=labels, name="random"
     )
 
+
+def pixel_dataset(rng, m, n):
+    """Integer pixel values in [0, 255], about a third of them stored."""
+    dense = np.where(rng.random((m, n)) < 0.3, rng.integers(0, 256, size=(m, n)), 0)
+    labels = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    return Dataset(matrix=SparseMatrix.from_dense(dense.astype(float)), labels=labels)
+
+
+def tall_pixel_dataset(rng):
+    """A pixel dataset held sparse in column-major (CSC) form."""
+    ds = pixel_dataset(rng, 300, 120)
+    assert 300 * 120 > DENSE_MAX_ENTRIES and ds.matrix._matrix.format == "csc"
+    return ds
 
 
 # Whitespace that str.split() splits on but that ends no line in a text
@@ -239,7 +258,7 @@ class TestBlockParse:
         assert ds.matrix.col_indices.dtype == dtype
         assert_same_parse(ds, parse_libsvm_scalar(lines))
 
-    def test_one_csr_check_per_block_and_matrix(self, monkeypatch, long_prefix):
+    def test_one_csr_check_per_block(self, monkeypatch, long_prefix):
         n_blocks = len(list(datasets._blocks(long_prefix)))
         assert n_blocks > 1
         calls = {}
@@ -255,7 +274,8 @@ class TestBlockParse:
 
             monkeypatch.setattr(module, "check_csr", counted)
         parse_libsvm(long_prefix)
-        assert calls == {"farsa.datasets": n_blocks, "farsa.linalg": 1}
+        # the blocks' checks cover the whole matrix, which is not checked again
+        assert calls == {"farsa.datasets": n_blocks}
         # indices that fit reach scipy as int32, which it takes without a copy
         assert index_dtypes == {np.dtype(np.int32)}
 
@@ -316,6 +336,17 @@ class TestRoundTrip:
         buffer = io.StringIO()
         write_libsvm(parse_libsvm(io.StringIO("+1 1:0.5\n-1 2:1\n0\n")), buffer)
         assert buffer.getvalue() == "1 1:0.5\n-1 2:1.0\n-1\n"
+
+    def test_write_keeps_no_row_major_copy(self, tmp_path):
+        # writing reads the CSR arrays of a CSC-held matrix; they are
+        # converted for the write and not kept on the matrix
+        ds = tall_pixel_dataset(np.random.default_rng(57))
+        attributes = set(vars(ds.matrix))
+        path = tmp_path / "tall.libsvm"
+        write_libsvm(ds, path)
+        assert set(vars(ds.matrix)) == attributes
+        back = load_dataset(path, n_features=ds.n_features)
+        assert np.array_equal(back.matrix.to_dense(), ds.matrix.to_dense())
 
     def test_gzip_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -423,6 +454,60 @@ class TestPixels:
         )
         with pytest.raises(ValueError, match="not an integer"):
             scale_pixels(ds2, 8)
+
+    def test_tall_scale_keeps_the_column_major_layout(self):
+        ds = tall_pixel_dataset(np.random.default_rng(58))
+        csr = sp.csr_matrix(ds.matrix.to_dense())
+        attributes = set(vars(ds.matrix))
+        scaled = scale_pixels(ds, 8).matrix
+        # the input gains no row-major copy, and the result is held as the input is
+        assert set(vars(ds.matrix)) == attributes
+        assert scaled._matrix.format == "csc" and scaled._dense is None
+        assert scaled.values.tobytes() == (csr.data / 256.0).tobytes()
+        assert np.array_equal(scaled.col_indices, csr.indices)
+        assert np.array_equal(scaled.row_offsets, csr.indptr)
+
+    def test_tall_bad_value_named_in_row_major_order(self):
+        ds = tall_pixel_dataset(np.random.default_rng(59))
+        dense = ds.matrix.to_dense()
+        # the first bad entry in column-major storage order is (5, 2); in
+        # row-major order it is (0, 100)
+        dense[0, 100], dense[5, 2] = 300.0, 0.5
+        ds = Dataset(matrix=SparseMatrix.from_dense(dense), labels=ds.labels)
+        attributes = set(vars(ds.matrix))
+        with pytest.raises(ValueError) as error:
+            scale_pixels(ds, 8)
+        assert str(error.value) == "value 300.0 at row 0, column 100 is not an integer in [0, 255]"
+        assert set(vars(ds.matrix)) == attributes
+
+    def test_small_scale_stays_dense_held(self):
+        # a small input keeps its dense hold, so solves on the scaled matrix
+        # take Newton steps (no CG) on their phi iterations
+        ds = pixel_dataset(np.random.default_rng(60), 40, 6)
+        attributes = set(vars(ds.matrix))
+        scaled = scale_pixels(ds, 8)
+        assert set(vars(ds.matrix)) == attributes
+        report = solve(
+            LogisticObjective(scaled.matrix, scaled.labels), SolverConfig(lam=0.5)
+        )
+        assert scaled.matrix._dense is not None
+        phi = [r for r in report.trace if r.type is not IterationType.BETA]
+        assert phi and all(r.cg_iterations == 0 for r in phi)
+
+    @pytest.mark.parametrize("bits", [0, 54, 1100])
+    def test_bits_outside_1_to_53_rejected(self, bits):
+        # from 54 bits on 2^bits - 1 is not a float64
+        ds = Dataset(matrix=SparseMatrix.from_dense([[3.0]]), labels=np.array([1.0]))
+        with pytest.raises(ValueError, match=f"^bits must be in 1-53, got {bits}$"):
+            scale_pixels(ds, bits)
+
+    def test_53_bits_keep_the_top_value_exact(self):
+        top = float(2**53 - 1)
+        ds = Dataset(matrix=SparseMatrix.from_dense([[top, 1.0]]), labels=np.array([1.0]))
+        assert scale_pixels(ds, 53).matrix.values.tolist() == [top / 2**53, 2.0**-53]
+        ds = Dataset(matrix=SparseMatrix.from_dense([[2.0**53]]), labels=np.array([1.0]))
+        with pytest.raises(ValueError, match="not an integer in"):
+            scale_pixels(ds, 53)
 
 
 class TestRelabel:

@@ -1,5 +1,6 @@
 """Outer solver loop: closed forms, trace invariants, budgets, failure modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,16 +23,24 @@ from farsa.optimality import optimality_measures
 from farsa.solver import _clamp
 from problems import (
     QuadraticObjective,
+    check_records,
     quadratic_l1_minimizer,
     random_logistic_problem,
     random_quadratic,
 )
 
 
+def checked_solve(oracle, config, x0=None):
+    """``farsa.solve``, with every record of its report checked (``check_records``)."""
+    report = solve(oracle, config, x0)
+    check_records(report)
+    return report
+
+
 class TestSoftThresholdQuadratic:
     def test_converges_to_closed_form(self):
         obj = QuadraticObjective([1.0], [-3.0])
-        report = solve(obj, SolverConfig(lam=1.0, epsilon=1e-12))
+        report = checked_solve(obj, SolverConfig(lam=1.0, epsilon=1e-12))
         assert report.status is SolveStatus.OPTIMAL
         assert report.iterations <= 5
         assert_allclose(report.x_final, [2.0], atol=1e-12)
@@ -42,7 +51,7 @@ class TestSoftThresholdQuadratic:
 
     def test_optimal_start_returns_immediately(self):
         obj = QuadraticObjective([1.0], [-3.0])
-        report = solve(obj, SolverConfig(lam=1.0), x0=np.array([2.0]))
+        report = checked_solve(obj, SolverConfig(lam=1.0), x0=np.array([2.0]))
         assert report.status is SolveStatus.OPTIMAL
         assert report.iterations == 0
         assert report.trace == []
@@ -64,7 +73,7 @@ class TestAdaptiveScales:
         # |g_i| > lam at zero: first-ever freeing direction has length
         # exactly delta = 1
         obj = QuadraticObjective([1.0, 1.0, 1.0], [-3.0, 4.0, 0.1])
-        report = solve(obj, SolverConfig(lam=1.0, max_iter=1))
+        report = checked_solve(obj, SolverConfig(lam=1.0, max_iter=1))
         record = report.trace[0]
         assert record.type is IterationType.BETA
         step_len = np.linalg.norm(report.x_final) / record.step_size
@@ -74,7 +83,7 @@ class TestAdaptiveScales:
         obj = QuadraticObjective([1.0, 1.0, 1.0], [-3.0, 4.0, 0.1])
         pair = optimality_measures(np.zeros(3), obj.gradient(np.zeros(3)), 1.0)
         beta_support = np.flatnonzero(pair.beta)
-        report = solve(obj, SolverConfig(lam=1.0, max_iter=1))
+        report = checked_solve(obj, SolverConfig(lam=1.0, max_iter=1))
         assert report.trace[0].type is IterationType.BETA
         assert np.array_equal(np.flatnonzero(report.x_final), beta_support)
         assert beta_support.tolist() == [0, 1]  # |0.1| <= lam stays zero
@@ -83,7 +92,7 @@ class TestAdaptiveScales:
         # from inside the optimal orthant one phi-iteration lands on the
         # minimizer (up to the Hessian shift)
         obj = QuadraticObjective([1.0], [-3.0])
-        report = solve(obj, SolverConfig(lam=1.0, max_iter=1), x0=[1.0])
+        report = checked_solve(obj, SolverConfig(lam=1.0, max_iter=1), x0=[1.0])
         record = report.trace[0]
         assert record.type is not IterationType.BETA
         assert record.step_size == 1.0
@@ -101,7 +110,7 @@ class TestTraceInvariants:
                 rng, int(rng.integers(10, 40)), int(rng.integers(3, 20))
             )
         config = SolverConfig(lam=lam)
-        report = solve(obj, config)
+        report = checked_solve(obj, config)
         assert report.status is SolveStatus.OPTIMAL
         objectives = [r.objective for r in report.trace]
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
@@ -129,7 +138,7 @@ class TestTraceInvariants:
             return g
 
         obj.gradient = spy
-        report = solve(obj, SolverConfig(lam=lam))
+        report = checked_solve(obj, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
         assert len(seen) == report.iterations + 1
         types = {r.type for r in report.trace}
@@ -146,7 +155,7 @@ class TestTraceInvariants:
         rng = np.random.default_rng(300)
         for _ in range(3):
             obj, lam = random_quadratic(rng, 15)
-            fast = solve(obj, SolverConfig(lam=lam))
+            fast = checked_solve(obj, SolverConfig(lam=lam))
             baseline = ista_solve(obj, lam, IstaConfig(epsilon=1e-10))
             assert fast.objective == pytest.approx(
                 baseline.objective, rel=1e-8, abs=1e-10
@@ -163,21 +172,57 @@ class TestTraceInvariants:
         loss = cp.sum(cp.logistic(-cp.multiply(obj.labels, dense @ x)))
         problem = cp.Problem(cp.Minimize(loss + lam * cp.norm1(x)))
         problem.solve()
-        report = solve(obj, SolverConfig(lam=lam, epsilon=1e-8))
+        report = checked_solve(obj, SolverConfig(lam=lam, epsilon=1e-8))
         assert report.objective == pytest.approx(problem.value, rel=1e-7)
+
+
+class TestRecordCheck:
+    """``check_records`` refuses a report that breaks one of its invariants."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        oracle, lam = random_logistic_problem(np.random.default_rng(201), 30, 12)
+        report = checked_solve(oracle, SolverConfig(lam=lam))
+        kinds = {r.type is IterationType.BETA for r in report.trace}
+        assert report.status is SolveStatus.OPTIMAL and kinds == {True, False}
+        return report
+
+    @staticmethod
+    def with_record(report, k, **changes):
+        trace = list(report.trace)
+        trace[k] = dataclasses.replace(trace[k], **changes)
+        return dataclasses.replace(report, trace=trace, objective=trace[-1].objective)
+
+    def test_accepted_objective_raised_by_a_millionth(self, report):
+        for k in range(1, report.iterations):
+            previous = report.trace[k - 1].objective
+            raised = self.with_record(report, k, objective=previous + 1e-6 * abs(previous))
+            with pytest.raises(AssertionError, match=f"record {k}: objective rose"):
+                check_records(raised)
+
+    def test_branch_inverted(self, report):
+        for k, record in enumerate(report.trace):
+            flipped = IterationType.PHI_SD if record.type is IterationType.BETA else IterationType.BETA
+            with pytest.raises(AssertionError, match=f"record {k}: branch"):
+                check_records(self.with_record(report, k, type=flipped, cg_iterations=0))
+
+    def test_report_objective_must_be_the_last_records(self, report):
+        last = report.trace[-1].objective
+        with pytest.raises(AssertionError, match="last record"):
+            check_records(dataclasses.replace(report, objective=last - 1e-6 * abs(last)))
 
 
 class TestBudgets:
     def test_max_iterations_status(self):
         rng = np.random.default_rng(400)
         obj, lam = random_logistic_problem(rng, 25, 10)
-        report = solve(obj, SolverConfig(lam=lam, max_iter=1))
+        report = checked_solve(obj, SolverConfig(lam=lam, max_iter=1))
         assert report.status is SolveStatus.MAX_ITERATIONS
         assert report.iterations == 1
 
     def test_time_limit_status(self):
         obj = QuadraticObjective([1.0], [-3.0])
-        report = solve(obj, SolverConfig(lam=1.0, time_limit=1e-12))
+        report = checked_solve(obj, SolverConfig(lam=1.0, time_limit=1e-12))
         assert report.status is SolveStatus.TIME_LIMIT
         assert report.trace == []
 
@@ -196,7 +241,7 @@ class TestBudgets:
         grad = spy.gradient(x0)
         pair = optimality_measures(x0, grad, 1.0)
         assert pair.beta_norm == pair.phi_norm  # tie by construction
-        solve(spy, SolverConfig(lam=1.0, max_iter=1), x0=x0)
+        checked_solve(spy, SolverConfig(lam=1.0, max_iter=1), x0=x0)
         assert calls, "phi branch (reduced Hessian) was not exercised on a tie"
 
 
@@ -217,7 +262,7 @@ class TestFailureModes:
             def reduced_hessian_operator(self, x, indices):
                 return lambda v: v
 
-        report = solve(LyingOracle(), SolverConfig(lam=1.0))
+        report = checked_solve(LyingOracle(), SolverConfig(lam=1.0))
         assert report.status is SolveStatus.LINE_SEARCH_FAILURE
 
     def test_lying_oracle_on_phi_path_reports_line_search_failure(self):
@@ -237,7 +282,7 @@ class TestFailureModes:
             def reduced_hessian_operator(self, x, indices):
                 return lambda v: v
 
-        report = solve(JumpingOracle(), SolverConfig(lam=1.0), x0=np.array([1.0]))
+        report = checked_solve(JumpingOracle(), SolverConfig(lam=1.0), x0=np.array([1.0]))
         assert report.status is SolveStatus.LINE_SEARCH_FAILURE
         assert report.iterations == 0
         assert_allclose(report.x_final, [1.0])
@@ -258,7 +303,7 @@ class TestFailureModes:
                 return lambda v: v
 
         with pytest.raises(ArithmeticError, match="iteration 0"):
-            solve(DivergentOracle(), SolverConfig(lam=1.0))
+            checked_solve(DivergentOracle(), SolverConfig(lam=1.0))
 
 
 class InverseOracle(QuadraticObjective):
@@ -300,7 +345,7 @@ class TestNewtonStep:
         # and larger ones run CG
         oracle, lam = random_logistic_problem(np.random.default_rng(seed), 40, 60)
         products = count_slice_products(monkeypatch, oracle)
-        report = solve(oracle, SolverConfig(lam=lam))
+        report = checked_solve(oracle, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
         phi = [r.cg_iterations for r in report.trace if r.type is not IterationType.BETA]
         assert phi.count(0) > 0 and len(phi) > phi.count(0)
@@ -310,13 +355,13 @@ class TestNewtonStep:
     def test_non_finite_inverse_raises(self):
         oracle = InverseOracle(lambda exact: lambda b: np.full_like(b, np.nan))
         with pytest.raises(ArithmeticError):
-            solve(oracle, SolverConfig(lam=1.0), x0=[1.0, -1.0])
+            checked_solve(oracle, SolverConfig(lam=1.0), x0=[1.0, -1.0])
 
     def test_ascent_inverse_raises(self):
         # the inverse's sign flipped: inverse(-g) is +H^-1 g, an ascent direction
         oracle = InverseOracle(lambda exact: lambda b: -exact(b))
         with pytest.raises(ArithmeticError, match="does not descend at iteration 0"):
-            solve(oracle, SolverConfig(lam=1.0), x0=[1.0, -1.0])
+            checked_solve(oracle, SolverConfig(lam=1.0), x0=[1.0, -1.0])
 
 
 class UncheckedOracle(ObjectiveOracle):
@@ -340,7 +385,7 @@ class UncheckedOracle(ObjectiveOracle):
 
 
 SOLVERS = [
-    pytest.param(lambda oracle, x0: solve(oracle, SolverConfig(lam=1.0), x0=x0), id="farsa"),
+    pytest.param(lambda oracle, x0: checked_solve(oracle, SolverConfig(lam=1.0), x0=x0), id="farsa"),
     pytest.param(lambda oracle, x0: ista_solve(oracle, 1.0, IstaConfig(), x0=x0), id="ista"),
 ]
 
@@ -397,7 +442,7 @@ class TestBoundaryChecks:
         kernel_checks = count_calls(monkeypatch, linalg, "as_vector")
         solver_checks = count_calls(monkeypatch, solver, "as_vector")
         gradients = count_calls(monkeypatch, oracle, "gradient")
-        report = solve(oracle, SolverConfig(lam=lam))
+        report = checked_solve(oracle, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
         assert kernel_checks[0] == 0
         assert solver_checks[0] == gradients[0] == report.iterations + 1
@@ -451,7 +496,7 @@ class TestSingleEvaluation:
     def test_solve_evaluates_each_accepted_point_once(self, seed):
         oracle, lam = random_logistic_problem(np.random.default_rng(seed), 60, 20)
         points = record_value_points(oracle)
-        report = solve(oracle, SolverConfig(lam=lam))
+        report = checked_solve(oracle, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
         # the only repeats are each later search's own F(x) at the point the
         # previous search accepted; the oracle kept that point's margins, so
@@ -496,7 +541,7 @@ class TestFullProducts:
         oracle, lam = random_logistic_problem(np.random.default_rng(seed), 60, 20)
         points = record_value_points(oracle)
         products = count_full_products(monkeypatch, oracle)
-        report = solve(oracle, SolverConfig(lam=lam))
+        report = checked_solve(oracle, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
         # one at x0 for the first gradient, then one per trial point; each
         # search's F(x), the next gradient and the next Hessian setup reuse
