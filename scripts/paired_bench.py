@@ -5,35 +5,65 @@ Run from anywhere inside a source checkout:
 
     python3 scripts/paired_bench.py --base 324142b --workload small-batch \\
         --seed 101 --seconds 25 --pairs 10
+    python3 scripts/paired_bench.py --in-process --base 324142b --workload wide \\
+        --seed 101 --seconds 60 --pairs 400
 
 The base revision is extracted into a temporary directory (``git archive``,
 removed on exit) and its ``bench/`` is replaced by the working tree's, so
-both sides run identical benchmark code.  Each pair runs ``bench/run.py``
-once on each side, one after the other, and the side that goes first
-alternates from pair to pair.  Nothing under ``bench/`` is changed.
+both sides run identical benchmark code.  Nothing under ``bench/`` is
+changed.
 
-For each end-to-end metric in ``BENCHMARK.json`` it prints each side's
-median and quartiles, how many pairs the change won (ties count for
-neither), and whether a gain may be claimed: the change wins at least nine
-tenths of the pairs and the medians differ, in its favour, by more than the
-base's interquartile range.  Progress and each run's values go to stderr.
-The exit status is 1 if any run fails or reports ``"correct": false``.
+Whole runs (the default): each pair runs ``bench/run.py`` once on each
+side, one after the other, and the side that goes first alternates from
+pair to pair.  For each end-to-end metric in ``BENCHMARK.json`` it prints
+each side's median and quartiles, how many pairs the change won (ties count
+for neither), and whether a gain may be claimed: the change wins at least
+nine tenths of the pairs and the medians differ, in its favour, by more
+than the base's interquartile range.  Progress and each run's values go to
+stderr.
+
+``--in-process``: one process loads the base's ``src/farsa`` and the
+working tree's under two package names, generates the workload's problems
+once (``bench/problems.py``, as ``bench/run.py`` does), sets up each side's
+oracles with its own package, warms both up, then alternates single solves
+A, B, B, A, ... until ``--pairs`` pairs have run or ``--seconds`` have
+passed.  A unit is one solve of one problem on the file-backed workloads
+(both sides solve the same problem in a pair, cycling through the
+problems) and one pass over all 200 problems on ``small-batch``.  It
+prints the median over pairs of the change's time over the base's, with a
+bootstrap 95% interval (2,000 resamples of the pairs).  Both sides share
+the host's speed from moment to moment, so the ratio resolves changes of a
+few percent that drift between whole runs hides; an interval that lies
+below 1.0 reads as a gain and one above as a loss.  Both sides also share
+one allocator and one cache, so calibrate with a base equal to the working
+tree (an A/A run) before trusting a small ratio.  Every solve is checked
+as the benchmark checks it, outside the timed region; memory is not
+measured in this mode.
+
+The exit status is 1 if any run or solve fails, or a run reports
+``"correct": false``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import json
+import math
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_WIN_SHARE = 0.9
+BOOTSTRAP_RESAMPLES = 2000
 
 
 def extract_revision(rev: str, target: Path) -> None:
@@ -87,6 +117,91 @@ def summarize(name: str, better: str, base: list[float], change: list[float]) ->
     )
 
 
+def load_farsa(name: str, src: Path):
+    """Import the package in ``src/farsa`` under the module name ``name``."""
+    init = src / "farsa" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def median_ratio(base: list[float], change: list[float]) -> tuple[float, float, float]:
+    """Median of change/base over pairs, with a percentile bootstrap 95% interval."""
+    import numpy as np  # here, so that in_process pins BLAS before numpy loads
+
+    logs = np.log(np.asarray(change) / np.asarray(base))
+    rng = np.random.default_rng(0)
+    resampled = np.median(rng.choice(logs, size=(BOOTSTRAP_RESAMPLES, logs.size)), axis=1)
+    low, high = np.percentile(resampled, [2.5, 97.5])
+    return math.exp(np.median(logs)), math.exp(low), math.exp(high)
+
+
+def in_process(args, base_src: Path) -> int:
+    """Alternate single solves of the base and the working tree in this process."""
+    # importing the benchmark pins BLAS to its one thread before numpy loads
+    sys.path.insert(0, str(ROOT / "bench"))
+    import run
+
+    workloads = {}
+    for side, src in (("base", base_src), ("change", ROOT / "src")):
+        farsa = load_farsa(f"farsa_{side}", src)
+        work_dir = run.WORK_DIR / f"paired-{os.getpid()}-{side}"
+        work_dir.mkdir(parents=True)
+        try:
+            # the seed fixes the problems, so both sides get the same ones
+            workloads[side] = run.build_workload(farsa, args.workload, args.seed, work_dir)
+            for step in workloads[side].setup_steps:
+                step()
+        finally:
+            shutil.rmtree(work_dir)
+        run.warm_up(workloads[side])
+
+    checkers = {side: run.Checker() for side in workloads}
+
+    def timed(side: str, pair: int) -> float:
+        workload = workloads[side]
+        if args.workload == "small-batch":
+            elapsed, results = workload.run_unit()
+        else:
+            instance = workload.instances[pair % len(workload.instances)]
+            t0 = time.perf_counter()
+            report = workload.solver.solve(instance.oracle, instance.problem.lam)
+            elapsed, results = time.perf_counter() - t0, [(instance, report)]
+        checkers[side].check_all(results)
+        return elapsed
+
+    times: dict[str, list[float]] = {"base": [], "change": []}
+    gc.collect()
+    started = time.perf_counter()
+    while len(times["base"]) < max(args.pairs, 1) and (
+        time.perf_counter() - started < args.seconds or not times["base"]
+    ):
+        pair = len(times["base"])
+        for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
+            times[side].append(timed(side, pair))
+
+    print(
+        f"# {args.workload} seed={args.seed} in-process pairs={len(times['base'])} "
+        f"in {time.perf_counter() - started:.0f} s base={args.base}"
+    )
+    failed = {side: checker.failed for side, checker in checkers.items()}
+    if any(failed.values()):
+        errors = [e for checker in checkers.values() for e in checker.errors]
+        print(f"# failed solves {failed}: {errors}")
+        return 1
+    ratio, low, high = median_ratio(times["base"], times["change"])
+    print(
+        f"solve_s      base median {statistics.median(times['base']):.6g}  "
+        f"change median {statistics.median(times['change']):.6g}  "
+        f"change/base {ratio:.3f} [{low:.3f}, {high:.3f}]"
+    )
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -94,7 +209,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument(
+        "--in-process",
+        action="store_true",
+        help="alternate single solves of both revisions in this process (solve_s only)",
+    )
     args = parser.parse_args(argv)
+    if args.in_process:
+        with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
+            extract_revision(args.base, Path(tmp))
+            return in_process(args, Path(tmp) / "base" / "src")
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     results: dict[str, list[dict]] = {"base": [], "change": []}

@@ -18,20 +18,23 @@ per seed and in total.  Each seed's row ends in a sha256 over every solve's
 benchmark checks it (status OPTIMAL and ``problems.check_solution``);
 failed solves are listed.  Nothing under ``bench/`` is changed.
 
-Before the counted pass, each seed's row also gets two memory figures from
-``tracemalloc``, over a pass that loads every problem and solves it once
-without the tracer: the peak of traced bytes during that pass, and the
-bytes it still holds at its end (the loaded matrices and oracles, and the
-reports).  The inputs that ``bench/run.py`` generates are allocated before
-tracing starts and are not counted.  Like the counts, both figures repeat
-exactly when the same command runs again, so a memory change gets a gate
+Each seed's row also gets two memory figures from ``tracemalloc``, over a
+pass that loads every problem and solves it once without the tracer: the
+peak of traced bytes during that pass, and the bytes it still holds at its
+end (the loaded matrices and oracles, and the reports).  The inputs that
+``bench/run.py`` generates are allocated before tracing starts and are not
+counted.  Each seed's pass runs in a process of its own (this script again,
+with ``--memory-pass``), since interpreter caches and free lists that
+earlier seeds fill in a shared process move a seed's figures by tens of
+kB.  Like the counts, both figures then repeat exactly when the same
+command runs again, whatever the seed list, so a memory change gets a gate
 that does not depend on the machine's speed.  Python and numpy key some
 internal tables by string hash or object address, which moves the traced
 bytes by a few kB from process to process; so the script runs itself again
 under ``PYTHONHASHSEED=0`` and ``setarch -R`` (no address randomization)
 unless both are already in effect, and says so where ``setarch`` is
-missing or refused.  Another seed list or environment can still move the
-figures by a few kB, about 0.05% of tall's.
+missing or refused.  Another environment can still move the figures by a
+few kB, about 0.05% of tall's.
 
 With ``--base`` the revision is extracted as ``scripts/paired_bench.py``
 does (with the working tree's ``bench/``), counted there, and printed
@@ -54,6 +57,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,19 +109,46 @@ def memory_pass(workload) -> tuple[int, int]:
     return peak, held
 
 
-def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, tuple[int, int], list[str], str]:
-    """A seed's counts, memory figures (peak, held), failed solves and hash."""
+@contextmanager
+def generated(run, workload_name: str, seed: int):
+    """The benchmark's workload for this seed, its files kept until the block ends."""
     farsa = run.import_farsa()
     work_dir = run.WORK_DIR / f"counts-{os.getpid()}"
     work_dir.mkdir(parents=True)
     try:
-        workload = run.build_workload(farsa, workload_name, seed, work_dir)
-        memory = memory_pass(workload)
-        # the counted pass starts from fresh oracles, as the benchmark's do
-        for step in workload.setup_steps:
-            step()
+        yield run.build_workload(farsa, workload_name, seed, work_dir)
     finally:
         shutil.rmtree(work_dir)
+
+
+def seed_memory(workload_name: str, seed: int) -> tuple[int, int]:
+    """A seed's memory figures (peak, held), from a process of its own."""
+    command = [
+        sys.executable, str(Path(__file__).resolve()), "--memory-pass",
+        "--workload", workload_name, "--seeds", str(seed),
+    ]  # fmt: skip
+    done = subprocess.run(command, check=True, stdout=subprocess.PIPE, text=True)
+    peak, held = (int(value) for value in done.stdout.split())
+    return peak, held
+
+
+def print_memory_pass(workload_name: str, seed: int) -> int:
+    """Print one seed's peak and held bytes, as ``seed_memory`` reads them."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import run
+
+    with generated(run, workload_name, seed) as workload:
+        print(*memory_pass(workload))
+    return 0
+
+
+def seed_counts(run, workload_name: str, seed: int) -> tuple[Counter, tuple[int, int], list[str], str]:
+    """A seed's counts, memory figures (peak, held), failed solves and hash."""
+    memory = seed_memory(workload_name, seed)
+    farsa = run.import_farsa()
+    with generated(run, workload_name, seed) as workload:
+        for step in workload.setup_steps:
+            step()
     tracer = run.Tracer()
     with tracer.installed(farsa):
         tracer.begin_unit(0)
@@ -228,8 +259,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="101-105", help="a range 101-105 or a list 101,103")
     parser.add_argument("--base", help="git revision to count as well, before the working tree")
+    parser.add_argument("--memory-pass", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
+    if args.memory_pass:
+        # a child of seed_memory: it shares its parent's layout, fixed or not
+        return print_memory_pass(args.workload, seeds[0])
     if not layout_is_fixed():
         status = relaunch_with_fixed_layout(sys.argv[1:] if argv is None else argv)
         if status is not None:

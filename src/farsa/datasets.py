@@ -290,12 +290,14 @@ def write_libsvm(dataset: Dataset, target: str | PathLike | IO[str]) -> None:
 
 
 def _write_lines(dataset: Dataset, handle: IO[str]) -> None:
-    m = dataset.matrix
-    offsets = m.row_offsets.tolist()
-    cols = m.col_indices.tolist()
-    values = m.values.tolist()
+    # one conversion of a CSC-held matrix serves all three arrays; reading
+    # row_offsets, col_indices and values would convert it three times
+    csr = dataset.matrix._matrix.tocsr()
+    offsets = csr.indptr.tolist()
+    cols = csr.indices.tolist()
+    values = csr.data.tolist()
     labels = dataset.labels.tolist()
-    for i in range(m.n_rows):
+    for i in range(csr.shape[0]):
         parts = [repr(labels[i]).removesuffix(".0")]
         parts.extend(
             f"{cols[j] + 1}:{values[j]!r}" for j in range(offsets[i], offsets[i + 1])

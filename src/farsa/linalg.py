@@ -22,26 +22,22 @@ that size.  Its products are BLAS matrix-vector products (gemv), never
 matrix-matrix ones; they give the same bytes on one and two BLAS threads,
 which ``tests/test_reductions.py`` checks.
 
-A larger matrix slices its columns, which the reduced-space Hessian
-products use, from its column-major (CSC) form, and the slices stay CSC.
-Which sparse layout it keeps follows its shape:
-
-- With at least as many rows as columns it is converted to CSC once, when
-  it is wrapped, and keeps only that: ``A @ x`` scatters over its columns,
-  ``A.T @ y`` gathers over the rows of its transposed (CSR) view, and a
-  slice cuts it directly.  On a 20,000 x 2,000 benchmark problem (400,000
-  entries; a 2-core Xeon, one BLAS thread, best of 15 timings) the scatter
-  took 490-520 us against CSR's 430 us and the gather 360 us against
-  440-520 us through CSR's transpose, so a product pair costs about the
-  same; one held copy instead of two halves the memory the benchmark's
-  tall solves hold (41.5 to 21.4 MB traced over four problems).
-- With more columns than rows it keeps the layout it was built in: the
-  constructor's CSR, for ``A @ x``, where CSC's scatter is slower (820-860
-  us against 470-490 us on a 5,000 x 50,000 problem of 500,000 entries),
-  plus a CSC copy built on its first slice and kept.
-
-Neither keeps a second copy for readers: the CSR arrays of a CSC-held
-matrix are converted each time they are read.
+A larger matrix is converted to column-major (CSC) form once, when it is
+wrapped, and keeps only that, whatever its shape: ``A @ x`` scatters over
+its columns, ``A.T @ y`` gathers over the rows of its transposed (CSR)
+view, and a column slice, which the reduced-space Hessian products and the
+line searches' trial prices use, cuts it directly and stays CSC.  The
+solver makes one whole-matrix ``A @ x`` per solve, at its starting point
+(``objectives``): later margins are carried from products with column
+slices, so the scatter's cost on wide matrices (820-860 us against CSR's
+470-490 us on a 5,000 x 50,000 problem of 500,000 entries; a 2-core Xeon,
+one BLAS thread) is paid once, and one held copy instead of two frees
+about 6 MB per such matrix.  The CSR arrays are converted each time they
+are read, and not kept.  The one exception is a matrix with more columns
+than stored entries, such as a file whose feature indices run far beyond
+its data: CSC would hold an offset per column, more than the entries
+themselves (16 GB for 2^31 columns), so it keeps the layout it was built in.
+scipy slices and multiplies either layout, in the same summation order.
 
 Its transposed products use a view of the same arrays, created once per
 matrix.  A slice keeps the form of the matrix it was cut from, so a slice
@@ -94,7 +90,7 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"expected a vector of length {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -160,13 +156,13 @@ class SparseMatrix:
     definition of a valid matrix; float64 values and int32 indices are not
     copied.  ``row_offsets``, ``col_indices`` and ``values`` are read-only
     views of its CSR arrays, with the index dtype scipy picked (int32
-    whenever the indices fit).  The one exception is a tall matrix held
-    sparse (more than ``DENSE_MAX_ENTRIES`` entries and ``n_rows >=
-    n_cols``): it is converted to CSC and keeps only that, as the module
-    docstring explains, and each read of those three arrays converts its
-    CSR anew, equal to the arrays it was built from, and keeps none of it.
-    ``_derived`` wraps a scipy matrix built from checked data by the same
-    rule, unchecked.
+    whenever the indices fit).  The one exception is a matrix held sparse
+    (more than ``DENSE_MAX_ENTRIES`` entries and no more columns than
+    stored entries): it is converted to CSC and keeps only that, as the
+    module docstring explains, and each read of those three arrays
+    converts its CSR anew, equal to the arrays it was built from, and
+    keeps none of it.  ``_derived`` wraps a scipy matrix built from checked
+    data by the same rule, unchecked.
 
     A matrix of at most ``DENSE_MAX_ENTRIES`` entries also holds one
     C-contiguous float64 dense copy, built on its first product or slice:
@@ -176,12 +172,10 @@ class SparseMatrix:
     and ``to_dense``) from that dense copy, so it stores no zeros.
 
     A larger matrix holds no dense copy.  ``column_submatrix`` slices its
-    column-major (CSC) form (a tall matrix's only form, a wide matrix's copy
-    built on the first call and kept) and returns the slice in CSC form,
-    unchecked: slicing a validated matrix keeps its invariants.
-    ``spmv_transpose`` multiplies by a transposed view of the arrays,
-    created on its first call and kept.  A slice of a larger matrix stays
-    sparse however few columns it has.
+    held form and returns the slice in that form, unchecked: slicing a
+    validated matrix keeps its invariants.  ``spmv_transpose`` multiplies
+    by a transposed view of the arrays, created on its first call and kept.
+    A slice of a larger matrix stays sparse however few columns it has.
 
     Products are bit-stable on a given platform.  Sparse products are
     scipy's kernels: output entry ``i`` of ``A @ x`` is accumulated from 0
@@ -212,10 +206,10 @@ class SparseMatrix:
         return cls.__new__(cls)._hold(held)
 
     def _hold(self, held) -> "SparseMatrix":
-        # the layout rule: a sparse-held matrix with at least as many rows as
-        # columns keeps only CSC (no copy if it is CSC already)
+        # the layout rule: a sparse-held matrix keeps only CSC (no copy if it
+        # is CSC already), unless it has more columns than stored entries
         n_rows, n_cols = held.shape
-        if n_rows * n_cols > DENSE_MAX_ENTRIES and n_rows >= n_cols:
+        if n_rows * n_cols > DENSE_MAX_ENTRIES and n_cols <= held.nnz:
             held = held.tocsc()
         self._matrix, self._shape = held, (n_rows, n_cols)
         return self
@@ -230,11 +224,6 @@ class SparseMatrix:
         # slices set this when cut; a wrapped matrix decides by its size
         n_rows, n_cols = self._shape
         return self._matrix.toarray() if n_rows * n_cols <= DENSE_MAX_ENTRIES else None
-
-    @cached_property
-    def _csc(self):
-        # a matrix already held in CSC is its own copy
-        return self._matrix.tocsc()
 
     @cached_property
     def _transpose(self):
@@ -283,7 +272,7 @@ class SparseMatrix:
         """Restrict to ``indices``: sorted, duplicate-free and in range, unchecked."""
         dense = self._dense
         if dense is None:
-            sub = SparseMatrix._derived(self._csc[:, indices])
+            sub = SparseMatrix._derived(self._matrix[:, indices])
             sub._dense = None  # stays sparse, however few entries it has
         else:
             sub = SparseMatrix.__new__(SparseMatrix)

@@ -1,7 +1,12 @@
 """Orthant projection and the two backtracking line searches.
 
 Both searches take the step d and its Armijo slope from the caller (the
-solver builds both) and only backtrack along d.  They end in one Armijo
+solver builds both) and only backtrack along d.  They run on the step's
+coordinates: the solver hands them x and d restricted to the index set the
+step moves (the support of phi, or the zeros a beta step frees), and an
+objective that prices a point by those coordinates alone, equal to x
+elsewhere.  Every test below is elementwise, so it gives the same answer
+on the restriction as on the full vectors.  They end in one Armijo
 loop, ``_armijo``: the first j with
 F(x + XI^j d) <= F(x) + ETA * XI^j * slope + noise.  The beta-search is that
 loop from j = 0.  The phi-search first backtracks along the projected path:
@@ -19,9 +24,11 @@ LineSearchError: past MAX_BACKTRACKS, or at a trial point equal to x (only
 Armijo trials can reach one; every other trial differs from x in a sign or
 a zero).
 
-Each search must evaluate F(x) first and return right after evaluating the
-accepted point: the bench tracer reads the first value as F(x) and the last
-as F at the accepted point.
+Each search must evaluate F(x) first, with the x it was handed, and return
+right after evaluating the accepted point: the solver's objective answers
+F(x) for that array from the oracle's value at x without a product, and the
+bench tracer reads the first value as F(x) and the last as F at the
+accepted point.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ class LineSearchError(RuntimeError):
 @dataclass(frozen=True)
 class SearchResult:
     """The accepted point, F there, and how the search reached it.
+
+    ``next_x`` has the coordinates of the ``x`` the search was handed.
 
     ``added`` marks a step that changed the sign pattern of x (the paper's
     ADD step).
@@ -138,7 +147,7 @@ def _accept(
         raise LineSearchError(
             f"line search failed: no acceptable step after {j} backtracks"
         )
-    if np.array_equal(y, x):
+    if (y == x).all():
         raise LineSearchError(
             f"line search failed: trial step {step:.3g} does not move the "
             f"iterate after {j} backtracks"
@@ -167,7 +176,7 @@ def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: floa
     """Projected backtracking search for a direction on the current support.
 
     ``f_total`` evaluates the full objective F (smooth part plus l1 term) at
-    a full-space point; ``slope`` is the derivative of F along ``d`` inside
+    the point whose coordinates ``x`` and ``d`` hold; ``slope`` is the derivative of F along ``d`` inside
     the orthant of ``x``, for the boundary step's and the Armijo tests.
     ``added`` is true exactly when the step changes the sign pattern of
     ``x``: Armijo trials start at the first j whose point keeps every sign,
@@ -179,7 +188,7 @@ def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: floa
 
     j = 0
     y = project_orthant(x + d, x)
-    while not np.array_equal(np.sign(y), sign_x):
+    while not (np.sign(y) == sign_x).all():
         result = _accept(f_total, f_x, x, y, 0.0, XI**j, j, added=True)
         if result is not None:
             return result

@@ -76,8 +76,7 @@ def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> Optimali
     Both are the negated shrink step on their half of the split.
     """
     measure = -ista_step(x, grad, lam)
-    beta = np.zeros_like(measure)
-    np.copyto(beta, measure, where=x == 0.0)
+    beta = np.where(x == 0.0, measure, 0.0)
     phi = measure - beta  # exact: measure - measure is 0.0 on the zeros
     return OptimalityPair(
         beta=beta,

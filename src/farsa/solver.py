@@ -12,10 +12,14 @@ step here: the direction d, the Armijo slope (g^T d over the support for
 phi, -||d||^2 for beta) and, from the search's outcome, the kind of
 iteration; the searches only backtrack along d.  A phi slope that is not
 negative raises ArithmeticError.  A Newton step records 0 CG iterations, as
-a beta step does.  Both branches end the same way: the step norm, the new
-iterate and one ``IterationRecord``.  Each record's objective, and the
-report's, is the value the line search computed at the point it accepted;
-F is evaluated afresh only for a solve that takes no iteration.
+a beta step does.  A step moves x only on its index set I (the support of
+phi, or the zeros beta frees), so each search is handed x_I, d_I and F
+priced on I (``_trial_objective``, from the oracle's ``trial_values``), and
+the accepted x_I is written into x.  Both branches end the same way: the
+step norm, the new iterate and one ``IterationRecord``.  Each record's
+objective, and the report's, is the value the line search computed at the
+point it accepted; F is evaluated afresh only for a solve that takes no
+iteration.
 
 The adaptive scale factors are built from the norm of the most recent step
 of the same type: the CG step cap is max{1e-3, min{1e3, 10*prev}} and the
@@ -142,6 +146,26 @@ def _total_objective(f_value: float, lam: float, x: np.ndarray) -> float:
     return f_value + lam * float(np.add.reduce(np.abs(x)))
 
 
+def _trial_objective(oracle, lam: float, x: np.ndarray, indices: np.ndarray, x_reduced: np.ndarray):
+    """The map z_I -> F(z) over the points z equal to x off ``indices``.
+
+    At ``x_reduced`` itself, the array the search was handed, it returns
+    F(x) from the oracle's f(x).  Other points are priced by the oracle's
+    ``trial_values``, with the l1 term of x updated on ``indices`` only.
+    """
+    f_x, value = oracle.trial_values(x, indices)
+    l1_x = float(np.add.reduce(np.abs(x)))
+    f_total_x = f_x + lam * l1_x  # as _total_objective sums it
+    l1_rest = l1_x - float(np.add.reduce(np.abs(x_reduced)))
+
+    def f_total(z_reduced: np.ndarray) -> float:
+        if z_reduced is x_reduced:
+            return f_total_x
+        return value(z_reduced) + lam * (l1_rest + float(np.add.reduce(np.abs(z_reduced))))
+
+    return f_total
+
+
 def _clamp(value: float, lower: float, upper: float) -> float:
     return max(lower, min(upper, value))
 
@@ -161,11 +185,8 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
     x0 and every gradient the oracle returns are checked (length n, finite)
     here; the layers below trust the vectors they are given.
     """
-    n = oracle.dim
+    n, lam = oracle.dim, config.lam
     x = _initial_point(x0, n)
-
-    def f_total(y: np.ndarray) -> float:
-        return _total_objective(oracle.value(y), config.lam, y)
 
     started = time.perf_counter()
     last_phi_step_norm = last_beta_step_norm = math.inf
@@ -175,7 +196,7 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
             status = SolveStatus.TIME_LIMIT
             break
         grad = as_vector(oracle.gradient(x), n)
-        pair = optimality_measures(x, grad, config.lam)
+        pair = optimality_measures(x, grad, lam)
         if pair.max_norm <= config.epsilon:
             status = SolveStatus.OPTIMAL
             break
@@ -187,52 +208,62 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
             if pair.beta_norm <= pair.phi_norm:
                 # phi: a reduced Newton or Newton-CG step over the support of
                 # phi, then the projected search
-                indices = np.flatnonzero(pair.phi != 0.0)
-                g_reduced = grad[indices] + config.lam * np.sign(x[indices])
+                indices = pair.phi.nonzero()[0]
+                x_reduced = x[indices]
+                g_reduced = grad[indices] + lam * np.sign(x_reduced)
                 hvp = oracle.reduced_hessian_operator(x, indices)
                 inverse = getattr(hvp, "inverse", None)
                 if inverse is None:
                     step_cap = _clamp(10.0 * last_phi_step_norm, 1e-3, 1e3)
-                    outcome = cg_solve(hvp, g_reduced, x[indices], step_cap)
-                    direction, cg_iterations = outcome.direction, outcome.iterations
+                    outcome = cg_solve(hvp, g_reduced, x_reduced, step_cap)
+                    d, cg_iterations = outcome.direction, outcome.iterations
                     del outcome
                 else:
                     # the oracle's exact inverse: the Newton step, no CG
-                    direction, cg_iterations = inverse(-g_reduced), 0
-                slope = dot(g_reduced, direction)
+                    d, cg_iterations = inverse(-g_reduced), 0
+                slope = dot(g_reduced, d)
                 # "not <" also refuses a NaN slope, e.g. from a non-finite inverse
                 if not slope < 0.0:
                     raise ArithmeticError(
                         f"phi direction does not descend at iteration {len(trace)}: "
                         f"g^T d = {slope}"
                     )
-                d = np.zeros_like(x)
-                d[indices] = direction
-                result = linesearch_phi(f_total, x, d, slope)
-                kind = IterationType.PHI_ADD if result.added else IterationType.PHI_SD
                 # free the branch's arrays now, as a function return would:
-                # held into the next iteration they raise a solve's peak memory
-                del indices, g_reduced, hvp, inverse, direction, d
+                # held into the search they raise a solve's peak memory
+                del g_reduced, hvp, inverse
+                search = linesearch_phi
+                kind = IterationType.PHI_SD
             else:
                 # beta: free zero variables along the safeguarded scaled direction
+                indices = pair.beta.nonzero()[0]
+                x_reduced = x[indices]
                 scale = _clamp(last_beta_step_norm, 1e-5, 1.0)
-                d = np.where(pair.beta != 0.0, -scale * pair.beta / pair.beta_norm, 0.0)
-                result = linesearch_beta(f_total, x, d, -dot(d, d))
+                d = -scale * pair.beta[indices] / pair.beta_norm
+                slope = -dot(d, d)
+                search = linesearch_beta
                 kind = IterationType.BETA
                 cg_iterations = 0
-                del d
+            f_total = _trial_objective(oracle, lam, x, indices, x_reduced)
+            result = search(f_total, x_reduced, d, slope)
+            del d, f_total
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
         if not np.isfinite(result.value):
             raise ArithmeticError(f"objective became non-finite at iteration {len(trace)}")
-        step = result.next_x - x
+        if result.added:  # only the phi search changes signs
+            kind = IterationType.PHI_ADD
+        step = result.next_x - x_reduced
         step_norm = math.sqrt(dot(step, step))
         if kind is IterationType.BETA:
             last_beta_step_norm = step_norm
         else:
             last_phi_step_norm = step_norm
-        x = result.next_x
+        # the step moves only x's entries on indices; a new array, since the
+        # oracle may keep the ones it was handed
+        x = x.copy()
+        x[indices] = result.next_x
+        del indices, x_reduced, step
         trace.append(
             IterationRecord(
                 k=len(trace),
@@ -250,7 +281,7 @@ def solve(oracle: ObjectiveOracle, config: SolverConfig, x0=None) -> SolveReport
     return SolveReport(
         status=status,
         x_final=x,
-        objective=trace[-1].objective if trace else f_total(x),
+        objective=trace[-1].objective if trace else _total_objective(oracle.value(x), lam, x),
         trace=trace,
         iterations=len(trace),
     )

@@ -348,6 +348,23 @@ class TestRoundTrip:
         back = load_dataset(path, n_features=ds.n_features)
         assert np.array_equal(back.matrix.to_dense(), ds.matrix.to_dense())
 
+    def test_write_converts_once(self, monkeypatch):
+        ds = tall_pixel_dataset(np.random.default_rng(58))
+        assert ds.matrix._matrix.format == "csc"
+        conversions = []
+        tocsr = sp.csc_matrix.tocsr
+
+        def counted(matrix, *args, **kwargs):
+            conversions.append(matrix.shape)
+            return tocsr(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csc_matrix, "tocsr", counted)
+        buffer = io.StringIO()
+        write_libsvm(ds, buffer)
+        assert conversions == [ds.matrix.shape]
+        back = parse_libsvm(io.StringIO(buffer.getvalue()), n_features=ds.n_features)
+        assert np.array_equal(back.matrix.to_dense(), ds.matrix.to_dense())
+
     def test_gzip_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(51)
         ds = random_dataset(rng, m=8, n=5)

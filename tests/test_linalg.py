@@ -321,9 +321,9 @@ def test_tall_matrix_holds_one_column_major_copy():
     tracemalloc.stop()
     # the slice cuts the held matrix itself: no second full copy, before or
     # during the slice, and the transposed view shares its arrays
-    assert a._matrix is held and a._csc is held
+    assert a._matrix is held
     assert np.shares_memory(a._transpose.data, held.data)
-    assert not {"_csr"} & set(vars(a))
+    assert not {"_csr", "_csc"} & set(vars(a))
     full = held.data.nbytes + held.indices.nbytes
     assert peak < full / 2, f"peak {peak} B against {full} B held"
     assert np.array_equal(sub.to_dense(), csr.toarray()[:, idx])
@@ -338,6 +338,28 @@ def test_tall_products_equal_row_major_products_bitwise():
         a = _built(csr)
         assert a._matrix.format == "csc"
         x, y = rng.normal(size=a.n_cols), rng.normal(size=a.n_rows)
+        assert spmv(a, x).tobytes() == (csr @ x).tobytes()
+        assert spmv_transpose(a, y).tobytes() == (csr.T @ y).tobytes()
+
+
+def test_wide_matrix_holds_one_column_major_copy_and_reads_back_its_arrays():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        n = int(rng.integers(300, 600))
+        m = int(rng.integers(DENSE_MAX_ENTRIES // n + 1, n // 2))
+        csr = _small_with_stored_zeros(rng, m, n)
+        assert csr.nnz >= n
+        a = _built(csr)
+        assert a._matrix.format == "csc" and a._dense is None
+        assert not {"_csr", "_csc"} & set(vars(a))
+        # each read converts anew and equals the arrays it was built from
+        assert np.array_equal(a.row_offsets, csr.indptr)
+        assert np.array_equal(a.col_indices, csr.indices)
+        assert a.values.tobytes() == csr.data.tobytes()
+        assert a.nnz == csr.nnz and a._matrix.format == "csc"
+        with pytest.raises(ValueError, match="read-only"):
+            a.col_indices[0] = 1
+        x, y = rng.normal(size=n), rng.normal(size=m)
         assert spmv(a, x).tobytes() == (csr @ x).tobytes()
         assert spmv_transpose(a, y).tobytes() == (csr.T @ y).tobytes()
 
@@ -357,25 +379,27 @@ def test_tall_matrix_reads_back_the_arrays_it_was_built_from():
 
 
 def test_held_form_follows_the_shape():
-    # sparse-held: tall and square matrices keep one CSC, wide ones their
-    # CSR plus a CSC copy for slices; dense-held ones a dense copy of either
-    # shape, whatever the sparse layout
+    # sparse-held: every shape keeps one CSC, and its slices stay CSC, unless
+    # it has more columns than stored entries; dense-held ones a dense copy
+    # of either shape, whatever the sparse layout
     rng = np.random.default_rng(20)
     for (m, n), form in [
         ((331, 99), "csc"),
         ((182, 182), "csc"),
         ((DENSE_MAX_ENTRIES + 1, 1), "csc"),
-        ((99, 331), "csr"),
+        ((99, 331), "csc"),
         ((1, DENSE_MAX_ENTRIES + 1), "csr"),
         ((256, 128), "dense"),
         ((128, 256), "dense"),
     ]:
-        a = _built(_small_with_stored_zeros(rng, m, n))
+        csr = _small_with_stored_zeros(rng, m, n)
+        a = _built(csr)
         sub = a.column_submatrix(np.arange(0, n, 2))
         if form == "dense":
             assert a._dense is not None and a._matrix.format == "csr"
-            assert not {"_csc", "_transpose"} & set(vars(a))
+            assert "_transpose" not in vars(a)
         else:
+            assert (csr.nnz < n) == (form == "csr")
             assert a._dense is None and a._matrix.format == form
-            assert (a._csc is a._matrix) == (form == "csc")
-            assert a._csc.format == "csc" and sub._matrix.format == "csc"
+            assert sub._matrix.format == form
+            assert not {"_csr", "_csc"} & set(vars(a))

@@ -219,7 +219,8 @@ def assert_bitwise_equal(got, expected):
 
 
 class TestMarginMemo:
-    """One remembered point: hits give bitwise a fresh oracle's results."""
+    """One remembered point: at margins from a whole-matrix product, hits
+    give bitwise a fresh oracle's results."""
 
     @staticmethod
     def problem(seed):
@@ -271,6 +272,118 @@ class TestMarginMemo:
         for turn in range(6):
             point = (a, b)[turn % 2]
             assert_bitwise_equal(oracle_outputs(obj, point, idx, v), expected[turn % 2])
+
+
+def count_products(monkeypatch, obj) -> Counter:
+    """Count ``spmv`` calls with the oracle's whole matrix and with anything else."""
+    counts = Counter()
+    spmv = objectives.spmv
+
+    def counting(matrix, x):
+        counts["whole" if matrix is obj.matrix else "slice"] += 1
+        return spmv(matrix, x)
+
+    monkeypatch.setattr(objectives, "spmv", counting)
+    return counts
+
+
+# A trial price carries the margins at x by one reduced product and one
+# addition per sample: each margin stays within a few eps of the sum of the
+# magnitudes of the terms that form it, |A| (|x| + |z|), and f within a few
+# relative ulps of a fresh oracle's value.
+CARRY_ULPS = 4.0
+EPS = np.finfo(np.float64).eps
+
+
+class TestTrialValues:
+    """Trials priced on the step's columns, from the margins at x."""
+
+    @staticmethod
+    def problem(rng, m, n):
+        obj, dense, labels = random_logistic(rng, m, n, density=0.3)
+        x = np.where(rng.random(n) < 0.6, rng.normal(size=n), 0.0)
+        idx = np.flatnonzero(rng.random(n) < 0.3)
+        return obj, dense, labels, x, idx
+
+    @pytest.mark.parametrize("shape", [(60, 20), (400, 300)], ids=["dense-held", "sparse-held"])
+    def test_trial_matches_a_fresh_oracle(self, shape):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            obj, dense, labels, x, idx = self.problem(rng, *shape)
+            fresh = LogisticObjective(obj.matrix, labels)
+            obj.gradient(x)
+            f_x, price = obj.trial_values(x, idx)
+            assert f_x == fresh.value(x)
+            for scale in (1.0, 0.5, 1e-3):
+                z = x.copy()
+                z[idx] += scale * rng.normal(size=idx.size)
+                value = price(z[idx])
+                expected = LogisticObjective(obj.matrix, labels).value(z)
+                assert abs(value - expected) <= CARRY_ULPS * EPS * expected
+                t_fresh = labels * (dense @ z)
+                t_carried = obj._memo_margins[0]
+                terms = np.abs(dense) @ (np.abs(x) + np.abs(z))
+                assert np.all(np.abs(t_carried - t_fresh) <= CARRY_ULPS * EPS * terms)
+
+    def test_first_value_makes_no_product(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        obj, _, _, x, idx = self.problem(rng, 400, 300)
+        obj.gradient(x)
+        counts = count_products(monkeypatch, obj)
+        slices = Counter()
+        cut = SparseMatrix.column_submatrix
+
+        def counted(matrix, indices):
+            slices["cut"] += 1
+            return cut(matrix, indices)
+
+        monkeypatch.setattr(SparseMatrix, "column_submatrix", counted)
+        # a phi step: the operator setup's slice serves the trial prices
+        obj.reduced_hessian_operator(x, idx)
+        f_x, price = obj.trial_values(x, idx)
+        assert f_x == obj.value(x) and counts == Counter() and slices["cut"] == 1
+        z = x.copy()
+        z[idx] += 0.25
+        price(z[idx])
+        assert counts == Counter(slice=1) and slices["cut"] == 1
+        # the next search starts from the trial's point; with no operator
+        # setup (a beta step), or an equal index set in another array, it
+        # cuts a slice of its own
+        f_z, _ = obj.trial_values(z, idx.copy())
+        assert f_z == obj.value(z)
+        assert slices["cut"] == 2 and counts == Counter(slice=1)
+
+    def test_accepted_margins_reach_the_next_gradient(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        obj, _, labels, x, idx = self.problem(rng, 400, 300)
+        obj.gradient(x)
+        _, price = obj.trial_values(x, idx)
+        z = x.copy()
+        z[idx] = 0.5 * x[idx] + rng.normal(size=idx.size)
+        price(z[idx] + 1.0)  # a rejected trial first
+        value = price(z[idx])
+        expected = LogisticObjective(obj.matrix, labels).gradient(z)
+        counts = count_products(monkeypatch, obj)
+        grad = obj.gradient(z)
+        obj.reduced_hessian_operator(z, idx)
+        assert obj.value(z) == value
+        assert counts == Counter()
+        assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
+        # a point off the trial's misses and makes one product of its own
+        z[0] += 1.0
+        obj.gradient(z)
+        assert counts == Counter(whole=1)
+
+    def test_default_prices_through_value(self):
+        rng = np.random.default_rng(33)
+        obj = QuadraticObjective(rng.uniform(0.5, 3.0, size=8), rng.normal(size=8))
+        x = rng.normal(size=8)
+        idx = np.array([1, 4, 6])
+        f_x, price = obj.trial_values(x, idx)
+        assert f_x == obj.value(x)
+        z = x.copy()
+        z[idx] = rng.normal(size=3)
+        assert price(z[idx]) == obj.value(z)
 
 
 class TestQuadratic:

@@ -491,6 +491,15 @@ def back_to_back_repeats(points) -> list:
     return [i for i in range(len(points) - 1) if np.array_equal(points[i], points[i + 1])]
 
 
+# F at a carried point agrees with a fresh oracle's within this many
+# relative ulps (the objectives module docstring)
+CARRIED_F_ULPS = 4.0
+
+
+def relative_ulps(value: float, expected: float) -> float:
+    return abs(value - expected) / (np.finfo(np.float64).eps * abs(expected))
+
+
 class TestSingleEvaluation:
     @pytest.mark.parametrize("seed", range(3))
     def test_solve_evaluates_each_accepted_point_once(self, seed):
@@ -498,15 +507,21 @@ class TestSingleEvaluation:
         points = record_value_points(oracle)
         report = checked_solve(oracle, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
-        # the only repeats are each later search's own F(x) at the point the
-        # previous search accepted; the oracle kept that point's margins, so
-        # the repeat costs no product with A (TestFullProducts counts them)
-        repeats = back_to_back_repeats(points)
-        assert len(repeats) == report.iterations - 1
-        accepted = [points[i] for i in repeats] + [report.x_final]
-        fresh = lambda x: oracle.value(x) + lam * float(np.sum(np.abs(x)))
-        assert [r.objective for r in report.trace] == [fresh(x) for x in accepted]
-        assert report.objective == fresh(report.x_final)
+        # value is asked once per search, for F(x) at the point the search
+        # starts from, which is x0 or the point the previous search accepted
+        # and priced; trials are priced by trial_values, not value
+        assert len(points) == report.iterations
+        assert back_to_back_repeats(points) == []
+        assert np.array_equal(points[0], np.zeros(oracle.dim))
+
+        def fresh(x):
+            f = LogisticObjective(oracle.matrix, oracle.labels).value(x)
+            return f + lam * float(np.sum(np.abs(x)))
+
+        accepted = points[1:] + [report.x_final]
+        for record, x in zip(report.trace, accepted):
+            assert relative_ulps(record.objective, fresh(x)) <= CARRIED_F_ULPS
+        assert relative_ulps(report.objective, fresh(report.x_final)) <= CARRIED_F_ULPS
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ista_evaluates_each_point_once(self, seed):
@@ -533,20 +548,57 @@ def count_full_products(monkeypatch, oracle) -> list:
     return count
 
 
+def count_trial_products(monkeypatch, oracle) -> list:
+    """Count ``A_I @ v`` products with column slices: one per reduced
+    Hessian product and one per trial point a search prices."""
+    count = [0]
+    spmv = objectives.spmv
+
+    def counting(matrix, x):
+        if matrix is not oracle.matrix:
+            count[0] += 1
+        return spmv(matrix, x)
+
+    monkeypatch.setattr(objectives, "spmv", counting)
+    return count
+
+
+def count_trials(monkeypatch) -> list:
+    """Count the trial points the two searches price (every evaluation but F(x))."""
+    count = [0]
+    for name in ("linesearch_phi", "linesearch_beta"):
+        search = getattr(solver, name)
+
+        def counted(f_total, x, *args, _search=search):
+            def counting(z):
+                count[0] += z is not x
+                return f_total(z)
+
+            return _search(counting, x, *args)
+
+        monkeypatch.setattr(solver, name, counted)
+    return count
+
+
 class TestFullProducts:
-    """The oracle computes the margins y*(A@x) once per distinct point."""
+    """The oracle multiplies by the whole design matrix once per solve."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_solve_makes_one_product_per_new_point(self, monkeypatch, seed):
         oracle, lam = random_logistic_problem(np.random.default_rng(seed), 60, 20)
-        points = record_value_points(oracle)
         products = count_full_products(monkeypatch, oracle)
+        slice_products = count_trial_products(monkeypatch, oracle)
+        hessian_products = count_slice_products(monkeypatch, oracle)
+        trials = count_trials(monkeypatch)
         report = checked_solve(oracle, SolverConfig(lam=lam))
         assert report.status is SolveStatus.OPTIMAL
-        # one at x0 for the first gradient, then one per trial point; each
-        # search's F(x), the next gradient and the next Hessian setup reuse
-        # the margins of the point the previous search accepted
-        assert products[0] == 1 + (len(points) - report.iterations)
+        # one with the whole matrix at x0 for the first gradient; then one
+        # product with the step's columns per trial point, and none for a
+        # search's F(x), the next gradient or the next Hessian setup, which
+        # reuse the margins the accepted trial carried
+        assert products[0] == 1
+        assert trials[0] >= report.iterations
+        assert slice_products[0] == trials[0] + hessian_products[0]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ista_makes_one_product_per_value_call(self, monkeypatch, seed):
