@@ -24,18 +24,24 @@ stderr.
 
 ``--in-process``: one process loads the base's ``src/farsa`` and the
 working tree's under two package names, generates the workload's problems
-once (``bench/problems.py``, as ``bench/run.py`` does), sets up each side's
-oracles with its own package, warms both up, then alternates single solves
-A, B, B, A, ... until ``--pairs`` pairs have run or ``--seconds`` have
-passed.  A unit is one solve of one problem on the file-backed workloads
-(both sides solve the same problem in a pair, cycling through the
-problems) and one pass over all 200 problems on ``small-batch``.  It
-prints the median over pairs of the change's time over the base's, with a
-bootstrap 95% interval (2,000 resamples of the pairs).  Both sides share
-the host's speed from moment to moment, so the ratio resolves changes of a
-few percent that drift between whole runs hides; an interval that lies
-below 1.0 reads as a gain and one above as a loss.  Both sides also share
-one allocator and one cache, so calibrate with a base equal to the working
+once per side (``bench/problems.py``, as ``bench/run.py`` does), sets up
+each side's oracles with its own package, warms both up, then runs pairs
+until ``--pairs`` pairs have run or ``--seconds`` have passed.  A pair
+times one setup step on each side, then one solve unit on each side, in
+the order A, B, then B, A in the next pair.  A setup step is what
+``setup_s`` times: the whole batch's matrices and oracles on
+``small-batch``, and one file's load plus its oracle on the file-backed
+workloads (cycling through the files).  Its oracles are dropped, so the
+solves keep the warmed-up ones.  A solve unit is one solve of one problem
+on the file-backed workloads (both sides solve the same problem in a
+pair, cycling through the problems) and one pass over all 200 problems on
+``small-batch``.  For ``setup_s`` and ``solve_s`` it prints the median
+over pairs of the change's time over the base's, with a bootstrap 95%
+interval (2,000 resamples of the pairs).  Both sides share the host's
+speed from moment to moment, so the ratio resolves changes of a few
+percent that drift between whole runs hides; an interval that lies below
+1.0 reads as a gain and one above as a loss.  Both sides also share one
+allocator and one cache, so calibrate with a base equal to the working
 tree (an A/A run) before trusting a small ratio.  Every solve is checked
 as the benchmark checks it, outside the timed region; memory is not
 measured in this mode.
@@ -51,7 +57,6 @@ import gc
 import importlib.util
 import json
 import math
-import os
 import shutil
 import statistics
 import subprocess
@@ -140,8 +145,8 @@ def median_ratio(base: list[float], change: list[float]) -> tuple[float, float, 
     return math.exp(np.median(logs)), math.exp(low), math.exp(high)
 
 
-def in_process(args, base_src: Path) -> int:
-    """Alternate single solves of the base and the working tree in this process."""
+def in_process(args, base_src: Path, work: Path) -> int:
+    """Alternate setup steps and solves of the base and the working tree in this process."""
     # importing the benchmark pins BLAS to its one thread before numpy loads
     sys.path.insert(0, str(ROOT / "bench"))
     import run
@@ -149,20 +154,29 @@ def in_process(args, base_src: Path) -> int:
     workloads = {}
     for side, src in (("base", base_src), ("change", ROOT / "src")):
         farsa = load_farsa(f"farsa_{side}", src)
-        work_dir = run.WORK_DIR / f"paired-{os.getpid()}-{side}"
-        work_dir.mkdir(parents=True)
-        try:
-            # the seed fixes the problems, so both sides get the same ones
-            workloads[side] = run.build_workload(farsa, args.workload, args.seed, work_dir)
-            for step in workloads[side].setup_steps:
-                step()
-        finally:
-            shutil.rmtree(work_dir)
+        work_dir = work / f"work-{side}"
+        work_dir.mkdir()
+        # the seed fixes the problems, so both sides get the same ones; the
+        # files stay until the end, since setup steps load them again
+        workloads[side] = run.build_workload(farsa, args.workload, args.seed, work_dir)
+        for step in workloads[side].setup_steps:
+            step()
         run.warm_up(workloads[side])
 
     checkers = {side: run.Checker() for side in workloads}
 
-    def timed(side: str, pair: int) -> float:
+    def timed_setup(side: str, pair: int) -> float:
+        workload = workloads[side]
+        steps = workload.setup_steps
+        oracles = [instance.oracle for instance in workload.instances]
+        t0 = time.perf_counter()
+        steps[pair % len(steps)]()
+        elapsed = time.perf_counter() - t0
+        for instance, oracle in zip(workload.instances, oracles):
+            instance.oracle = oracle
+        return elapsed
+
+    def timed_solve(side: str, pair: int) -> float:
         workload = workloads[side]
         if args.workload == "small-batch":
             elapsed, results = workload.run_unit()
@@ -174,18 +188,21 @@ def in_process(args, base_src: Path) -> int:
         checkers[side].check_all(results)
         return elapsed
 
-    times: dict[str, list[float]] = {"base": [], "change": []}
+    times = {(metric, side): [] for metric in ("setup_s", "solve_s") for side in workloads}
     gc.collect()
     started = time.perf_counter()
-    while len(times["base"]) < max(args.pairs, 1) and (
-        time.perf_counter() - started < args.seconds or not times["base"]
+    pairs = 0
+    while pairs < max(args.pairs, 1) and (
+        time.perf_counter() - started < args.seconds or not pairs
     ):
-        pair = len(times["base"])
-        for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-            times[side].append(timed(side, pair))
+        order = ("base", "change") if pairs % 2 == 0 else ("change", "base")
+        for metric, timed in (("setup_s", timed_setup), ("solve_s", timed_solve)):
+            for side in order:
+                times[metric, side].append(timed(side, pairs))
+        pairs += 1
 
     print(
-        f"# {args.workload} seed={args.seed} in-process pairs={len(times['base'])} "
+        f"# {args.workload} seed={args.seed} in-process pairs={pairs} "
         f"in {time.perf_counter() - started:.0f} s base={args.base}"
     )
     failed = {side: checker.failed for side, checker in checkers.items()}
@@ -193,12 +210,14 @@ def in_process(args, base_src: Path) -> int:
         errors = [e for checker in checkers.values() for e in checker.errors]
         print(f"# failed solves {failed}: {errors}")
         return 1
-    ratio, low, high = median_ratio(times["base"], times["change"])
-    print(
-        f"solve_s      base median {statistics.median(times['base']):.6g}  "
-        f"change median {statistics.median(times['change']):.6g}  "
-        f"change/base {ratio:.3f} [{low:.3f}, {high:.3f}]"
-    )
+    for metric in ("setup_s", "solve_s"):
+        base, change = times[metric, "base"], times[metric, "change"]
+        ratio, low, high = median_ratio(base, change)
+        print(
+            f"{metric:<12} base median {statistics.median(base):.6g}  "
+            f"change median {statistics.median(change):.6g}  "
+            f"change/base {ratio:.3f} [{low:.3f}, {high:.3f}]"
+        )
     return 0
 
 
@@ -212,13 +231,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--in-process",
         action="store_true",
-        help="alternate single solves of both revisions in this process (solve_s only)",
+        help="alternate setup steps and solves of both revisions in this process "
+        "(setup_s and solve_s)",
     )
     args = parser.parse_args(argv)
     if args.in_process:
         with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
             extract_revision(args.base, Path(tmp))
-            return in_process(args, Path(tmp) / "base" / "src")
+            return in_process(args, Path(tmp) / "base" / "src", Path(tmp))
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     results: dict[str, list[dict]] = {"base": [], "change": []}

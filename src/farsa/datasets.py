@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import SparseMatrix, check_csr
 
@@ -137,11 +136,8 @@ def _parse_block(lines: list[str], normalize_labels: bool) -> tuple[np.ndarray, 
     # -2**63 wraps to 2**63 - 1 and so lands out of range
     width = int(cols.max()) if cols.size else 0
     cols -= 1
-    # int32 indices skip scipy's scan and copy; a blind cast would wrap -2**32 into range
-    fits = cols.size and cols.min() >= -_INT32_MAX and max(cols.max(), offsets[-1]) <= _INT32_MAX
-    index = np.int32 if fits else np.int64
     try:
-        check_csr(len(rows), width, offsets.astype(index), cols.astype(index), values)
+        check_csr(len(rows), width, offsets, cols, values)
     except ValueError:
         return None
     return labels, offsets, cols, values
@@ -251,8 +247,10 @@ def parse_libsvm(
         raise DatasetFormatError("no features in input")
 
     # every block passed check_csr, so their concatenation is valid unchecked
-    arrays = tuple(np.frombuffer(a, dtype=a.typecode) for a in (values, col_indices, row_offsets))
-    matrix = SparseMatrix._derived(sp.csr_matrix(arrays, shape=(n_rows, n_cols)))
+    offsets, cols, values = (
+        np.frombuffer(a, dtype=a.typecode) for a in (row_offsets, col_indices, values)
+    )
+    matrix = SparseMatrix._checked((n_rows, n_cols), offsets, cols, values)
     return Dataset(matrix=matrix, labels=np.frombuffer(labels, dtype=np.float64), name=name)
 
 
@@ -292,12 +290,9 @@ def write_libsvm(dataset: Dataset, target: str | PathLike | IO[str]) -> None:
 def _write_lines(dataset: Dataset, handle: IO[str]) -> None:
     # one conversion of a CSC-held matrix serves all three arrays; reading
     # row_offsets, col_indices and values would convert it three times
-    csr = dataset.matrix._matrix.tocsr()
-    offsets = csr.indptr.tolist()
-    cols = csr.indices.tolist()
-    values = csr.data.tolist()
+    offsets, cols, values = (a.tolist() for a in dataset.matrix._row_major())
     labels = dataset.labels.tolist()
-    for i in range(csr.shape[0]):
+    for i in range(dataset.matrix.n_rows):
         parts = [repr(labels[i]).removesuffix(".0")]
         parts.extend(
             f"{cols[j] + 1}:{values[j]!r}" for j in range(offsets[i], offsets[i + 1])
@@ -337,23 +332,22 @@ def scale_pixels(dataset: Dataset, bits: int) -> Dataset:
     """
     if not 1 <= bits <= 53:
         raise ValueError(f"bits must be in 1-53, got {bits}")
-    held = dataset.matrix._matrix
+    matrix = dataset.matrix
     top = float(2**bits - 1)
 
     def bad(values: np.ndarray) -> np.ndarray:
         return (values != np.floor(values)) | (values < 0) | (values > top)
 
-    if np.any(bad(held.data)):
-        # the CSR arrays list the entries in row-major order
-        csr = held.tocsr()
-        j = np.flatnonzero(bad(csr.data))[0]
-        row = int(np.searchsorted(csr.indptr, j, side="right") - 1)
+    held = matrix._held_values
+    if np.any(bad(held)):
+        offsets, cols, values = matrix._row_major()
+        j = np.flatnonzero(bad(values))[0]
+        row = int(np.searchsorted(offsets, j, side="right") - 1)
         raise ValueError(
-            f"value {csr.data[j]} at row {row}, column {csr.indices[j]} "
+            f"value {values[j]} at row {row}, column {cols[j]} "
             f"is not an integer in [0, {int(top)}]"
         )
-    scaled = type(held)((held.data / float(2**bits), held.indices, held.indptr), shape=held.shape)
-    return replace(dataset, matrix=SparseMatrix._derived(scaled))
+    return replace(dataset, matrix=matrix._with_values(held / float(2**bits)))
 
 
 def relabel_binary_mnist(labels) -> np.ndarray:

@@ -9,35 +9,39 @@ on the BLAS thread count.  Only ``as_vector`` (the boundary's check) and
 the LIBSVM parser's blocks share, check; the products and slices trust their
 inputs.
 
-A ``SparseMatrix`` wraps one scipy matrix.  The constructor takes and
-checks compressed sparse row (CSR) arrays, the layout of LIBSVM rows.  The
-matrices the package derives from checked data (the parser's result, column
-slices, ``datasets.scale_pixels``' scaled copy) are wrapped by one private
-constructor, ``SparseMatrix._derived``, and not checked again; both
-constructors apply the same layout rule below.  A
-matrix of at most ``DENSE_MAX_ENTRIES`` entries (rows times columns)
-multiplies and slices a dense copy that it builds on its first product or
-slice, since scipy's per-call dispatch costs more than the arithmetic at
-that size.  Its products are BLAS matrix-vector products (gemv), never
-matrix-matrix ones; they give the same bytes on one and two BLAS threads,
-which ``tests/test_reductions.py`` checks.
+The constructor takes and checks compressed sparse row (CSR) arrays, the
+layout of LIBSVM rows, with ``check_csr``.  The parser's blocks pass the
+same check, and the matrices the package derives from checked data (the
+parser's result, column slices, ``datasets.scale_pixels``' scaled copy)
+are wrapped unchecked; all of them follow the layout rule below.
 
-A larger matrix is converted to column-major (CSC) form once, when it is
-wrapped, and keeps only that, whatever its shape: ``A @ x`` scatters over
-its columns, ``A.T @ y`` gathers over the rows of its transposed (CSR)
-view, and a column slice, which the reduced-space Hessian products and the
-line searches' trial prices use, cuts it directly and stays CSC.  The
-solver makes one whole-matrix ``A @ x`` per solve, at its starting point
-(``objectives``): later margins are carried from products with column
-slices, so the scatter's cost on wide matrices (820-860 us against CSR's
-470-490 us on a 5,000 x 50,000 problem of 500,000 entries; a 2-core Xeon,
-one BLAS thread) is paid once, and one held copy instead of two frees
-about 6 MB per such matrix.  The CSR arrays are converted each time they
-are read, and not kept.  The one exception is a matrix with more columns
-than stored entries, such as a file whose feature indices run far beyond
-its data: CSC would hold an offset per column, more than the entries
-themselves (16 GB for 2^31 columns), so it keeps the layout it was built in.
-scipy slices and multiplies either layout, in the same summation order.
+A matrix of at most ``DENSE_MAX_ENTRIES`` entries (rows times columns)
+keeps its checked CSR arrays and multiplies and slices a dense copy that it
+builds from them on its first product or slice, since scipy's per-call
+dispatch costs more than the arithmetic at that size.  It builds a scipy
+matrix only when its CSR arrays are read through the public properties or
+``to_dense``, so setting up and solving a small problem never calls scipy.
+Its products are BLAS matrix-vector products (gemv), never matrix-matrix
+ones; they give the same bytes on one and two BLAS threads, which
+``tests/test_reductions.py`` checks.
+
+A larger matrix wraps one scipy matrix.  It is converted to column-major
+(CSC) form once, when it is wrapped, and keeps only that, whatever its
+shape: ``A @ x`` scatters over its columns, ``A.T @ y`` gathers over the
+rows of its transposed (CSR) view, and a column slice, which the
+reduced-space Hessian products and the line searches' trial prices use,
+cuts it directly and stays CSC.  The solver makes one whole-matrix
+``A @ x`` per solve, at its starting point (``objectives``): later margins
+are carried from products with column slices, so the scatter's cost on
+wide matrices (820-860 us against CSR's 470-490 us on a 5,000 x 50,000
+problem of 500,000 entries; a 2-core Xeon, one BLAS thread) is paid once,
+and one held copy instead of two frees about 6 MB per such matrix.  The
+CSR arrays are converted each time they are read, and not kept.  The one
+exception is a matrix with more columns than stored entries, such as a
+file whose feature indices run far beyond its data: CSC would hold an
+offset per column, more than the entries themselves (16 GB for 2^31
+columns), so it keeps the layout it was built in.  scipy slices and
+multiplies either layout, in the same summation order.
 
 Its transposed products use a view of the same arrays, created once per
 matrix.  A slice keeps the form of the matrix it was cut from, so a slice
@@ -100,37 +104,40 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-def check_csr(n_rows: int, n_cols: int, offsets, cols, values) -> sp.csr_matrix:
-    """The scipy CSR matrix of these arrays, or ``ValueError`` naming the first broken rule.
+def check_csr(n_rows: int, n_cols: int, offsets, cols, values) -> None:
+    """Raise ``ValueError`` naming the first rule these CSR arrays break.
 
     ``offsets`` has length n_rows+1, starts at 0, never decreases and ends
     at the number of ``cols`` and ``values``; every column lies in
     [0, n_cols) and strictly increases within its row; every value is
-    finite.  int32 indices and float64 values reach scipy uncopied.
+    finite.  These are scipy's rules for a CSR matrix in canonical form
+    (``has_canonical_format``), and finiteness; numpy alone checks them,
+    with any integer dtypes for ``offsets`` and ``cols``.
     """
     if offsets.shape != (n_rows + 1,):
         raise ValueError(
             f"row_offsets must have length n_rows+1={n_rows + 1}, "
             f"got {offsets.shape[0]}"
         )
-    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+    row_nnz = offsets[1:] - offsets[:-1]
+    if offsets[0] != 0 or (row_nnz < 0).any():
         raise ValueError("row_offsets must start at 0 and be nondecreasing")
-    if offsets[-1] != cols.shape[0] or cols.shape != values.shape:
+    if cols.shape != (offsets[-1],) or values.shape != cols.shape:
         raise ValueError(
             f"inconsistent nnz: row_offsets end {offsets[-1]}, "
-            f"{cols.shape[0]} column indices, {values.shape[0]} values"
+            f"{cols.size} column indices, {values.size} values"
         )
     if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
         raise ValueError(f"column index out of range [0, {n_cols})")
-    # the checks above come first: scipy's constructor silently drops entries
-    # past offsets[-1], and its row-order scan reads cols[offsets[i]:offsets[i+1]]
-    # without bounds checks
-    matrix = sp.csr_matrix((values, cols, offsets), shape=(n_rows, n_cols))
-    if not matrix.has_canonical_format:
+    # each entry exceeds the one before it, unless it starts its row; the
+    # checks above keep every non-empty row's start inside the arrays
+    rising = np.empty(cols.shape, dtype=bool)
+    np.greater(cols[1:], cols[:-1], out=rising[1:])
+    rising[offsets[:-1][row_nnz > 0]] = True
+    if not rising.all():
         raise ValueError("column indices must be strictly increasing within each row")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("matrix values contain non-finite entries")
-    return matrix
 
 
 def _index_array(a) -> np.ndarray:
@@ -145,6 +152,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _csr_of_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays of the nonzero entries of a 2-d array, as scipy stores them."""
+    rows, cols = np.nonzero(dense)
+    offsets = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=offsets[1:])
+    return offsets, cols, dense[rows, cols]
+
+
+def _dense_of_csr(shape, offsets, cols, values) -> np.ndarray:
+    """The dense array of checked CSR arrays, bitwise scipy's ``toarray()``."""
+    dense = np.zeros(shape)
+    # adding to zeros, as toarray does, stores a -0.0 entry as 0.0
+    dense[np.repeat(np.arange(shape[0]), np.diff(offsets)), cols] += values
+    return dense
+
+
 class SparseMatrix:
     """Immutable sparse matrix with CSR arrays.
 
@@ -152,30 +175,32 @@ class SparseMatrix:
     with matching ``values``.  Column indices are strictly increasing within
     each row.
 
-    The constructor keeps the scipy matrix built by ``check_csr``, the one
+    The constructor checks its arrays with ``check_csr``, the one
     definition of a valid matrix; float64 values and int32 indices are not
     copied.  ``row_offsets``, ``col_indices`` and ``values`` are read-only
-    views of its CSR arrays, with the index dtype scipy picked (int32
-    whenever the indices fit).  The one exception is a matrix held sparse
-    (more than ``DENSE_MAX_ENTRIES`` entries and no more columns than
-    stored entries): it is converted to CSC and keeps only that, as the
-    module docstring explains, and each read of those three arrays
-    converts its CSR anew, equal to the arrays it was built from, and
-    keeps none of it.  ``_derived`` wraps a scipy matrix built from checked
-    data by the same rule, unchecked.
+    views of the CSR arrays of its scipy form, with the index dtype scipy
+    picks (int32 whenever the indices fit).
 
-    A matrix of at most ``DENSE_MAX_ENTRIES`` entries also holds one
-    C-contiguous float64 dense copy, built on its first product or slice:
+    A matrix of at most ``DENSE_MAX_ENTRIES`` entries is held dense.  It
+    keeps the checked arrays, and builds a C-contiguous float64 dense copy
+    from them on its first product or slice (bitwise their ``toarray()``,
+    so a stored ``-0.0`` reads ``0.0``), and its scipy form only when those
+    three properties or ``to_dense`` are read; ``nnz`` counts its arrays.
     ``spmv`` is ``dense @ x``, ``spmv_transpose`` is ``y @ dense``, and
     ``column_submatrix`` returns a matrix whose dense copy is those columns
-    of it.  Such a slice builds its scipy form (for ``nnz``, the CSR arrays
-    and ``to_dense``) from that dense copy, so it stores no zeros.
+    of it.  Such a slice finds its CSR arrays in that dense copy when they
+    are needed, so it stores no zeros.
 
-    A larger matrix holds no dense copy.  ``column_submatrix`` slices its
-    held form and returns the slice in that form, unchecked: slicing a
-    validated matrix keeps its invariants.  ``spmv_transpose`` multiplies
-    by a transposed view of the arrays, created on its first call and kept.
-    A slice of a larger matrix stays sparse however few columns it has.
+    A larger matrix is held sparse: the constructor builds its scipy form
+    once, and converts it to CSC and keeps only that unless it has more
+    columns than stored entries, as the module docstring explains.  Each
+    read of the three properties then converts its CSR anew, equal to the
+    arrays it was built from, and keeps none of it.  It holds no dense
+    copy.  ``column_submatrix`` slices its held form and returns the slice
+    in that form, unchecked: slicing a validated matrix keeps its
+    invariants.  ``spmv_transpose`` multiplies by a transposed view of the
+    arrays, created on its first call and kept.  A slice of a larger
+    matrix stays sparse however few columns it has.
 
     Products are bit-stable on a given platform.  Sparse products are
     scipy's kernels: output entry ``i`` of ``A @ x`` is accumulated from 0
@@ -198,32 +223,52 @@ class SparseMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         offsets, cols = _index_array(row_offsets), _index_array(col_indices)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        self._hold(check_csr(n_rows, n_cols, offsets, cols, values))
+        check_csr(n_rows, n_cols, offsets, cols, values)
+        self._hold((n_rows, n_cols), offsets, cols, values)
 
     @classmethod
-    def _derived(cls, held) -> "SparseMatrix":
-        """Wrap ``held``, a scipy matrix built from checked data, without checking it again."""
-        return cls.__new__(cls)._hold(held)
+    def _checked(cls, shape, offsets, cols, values) -> "SparseMatrix":
+        """Wrap CSR arrays that passed ``check_csr``, without checking them again."""
+        return cls.__new__(cls)._hold(shape, offsets, cols, values)
 
-    def _hold(self, held) -> "SparseMatrix":
-        # the layout rule: a sparse-held matrix keeps only CSC (no copy if it
-        # is CSC already), unless it has more columns than stored entries
-        n_rows, n_cols = held.shape
-        if n_rows * n_cols > DENSE_MAX_ENTRIES and n_cols <= held.nnz:
-            held = held.tocsc()
-        self._matrix, self._shape = held, (n_rows, n_cols)
+    def _hold(self, shape, offsets, cols, values) -> "SparseMatrix":
+        # the layout rule: a small matrix keeps its CSR arrays; a larger one
+        # keeps only the CSC form of its scipy matrix, unless it has more
+        # columns than stored entries
+        n_rows, n_cols = self._shape = shape
+        if n_rows * n_cols <= DENSE_MAX_ENTRIES:
+            self._arrays = offsets, cols, values
+            return self
+        held = sp.csr_matrix((values, cols, offsets), shape=shape)
+        self._matrix = held.tocsc() if n_cols <= held.nnz else held
+        self._arrays = self._dense = None
         return self
+
+    @classmethod
+    def _sparse(cls, held) -> "SparseMatrix":
+        """Wrap ``held``, a scipy matrix cut or computed from a sparse-held one, as it is."""
+        matrix = cls.__new__(cls)
+        matrix._shape, matrix._matrix = held.shape, held
+        matrix._arrays = matrix._dense = None
+        return matrix
+
+    # Each matrix is made with one of _arrays (a small matrix), _dense (a
+    # dense slice) or _matrix (a sparse-held matrix, which sets the other
+    # two to None); the properties below derive the rest on first read.
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # a dense slice finds its CSR arrays in its dense copy
+        return _csr_of_dense(self._dense)
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        return _dense_of_csr(self._shape, *self._arrays)
 
     @cached_property
     def _matrix(self):
-        # set when wrapped; a dense slice builds it from its dense copy on first read
-        return sp.csr_matrix(self._dense)
-
-    @cached_property
-    def _dense(self) -> np.ndarray | None:
-        # slices set this when cut; a wrapped matrix decides by its size
-        n_rows, n_cols = self._shape
-        return self._matrix.toarray() if n_rows * n_cols <= DENSE_MAX_ENTRIES else None
+        offsets, cols, values = self._arrays
+        return sp.csr_matrix((values, cols, offsets), shape=self._shape)
 
     @cached_property
     def _transpose(self):
@@ -243,7 +288,8 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return self._matrix.nnz
+        arrays = self._arrays
+        return self._matrix.nnz if arrays is None else arrays[1].size
 
     @property
     def row_offsets(self) -> np.ndarray:
@@ -257,13 +303,33 @@ class SparseMatrix:
     def values(self) -> np.ndarray:
         return _read_only(self._matrix.tocsr().data)
 
+    def _row_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR arrays as held, or converted anew (and not kept) if held as CSC."""
+        if self._arrays is not None:
+            return self._arrays
+        csr = self._matrix.tocsr()
+        return csr.indptr, csr.indices, csr.data
+
+    @property
+    def _held_values(self) -> np.ndarray:
+        """The stored values in the order they are held (column-major if CSC)."""
+        return self._matrix.data if self._arrays is None else self._arrays[2]
+
+    def _with_values(self, values: np.ndarray) -> "SparseMatrix":
+        """The same pattern, held the same way, with ``values`` in its held order, unchecked."""
+        if self._arrays is not None:
+            offsets, cols, _ = self._arrays
+            return SparseMatrix._checked(self._shape, offsets, cols, values)
+        held = self._matrix
+        scaled = type(held)((values, held.indices, held.indptr), shape=held.shape)
+        return SparseMatrix._sparse(scaled)
+
     @classmethod
     def from_dense(cls, dense) -> "SparseMatrix":
         a = np.asarray(dense, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-        csr = sp.csr_matrix(a)
-        return cls(a.shape[0], a.shape[1], csr.indptr, csr.indices, csr.data)
+        return cls(*a.shape, *_csr_of_dense(a))
 
     def to_dense(self) -> np.ndarray:
         return self._matrix.toarray()
@@ -272,11 +338,9 @@ class SparseMatrix:
         """Restrict to ``indices``: sorted, duplicate-free and in range, unchecked."""
         dense = self._dense
         if dense is None:
-            sub = SparseMatrix._derived(self._matrix[:, indices])
-            sub._dense = None  # stays sparse, however few entries it has
-        else:
-            sub = SparseMatrix.__new__(SparseMatrix)
-            sub._shape, sub._dense = (self._shape[0], len(indices)), dense.take(indices, axis=1)
+            return SparseMatrix._sparse(self._matrix[:, indices])
+        sub = SparseMatrix.__new__(SparseMatrix)
+        sub._shape, sub._dense = (self._shape[0], len(indices)), dense.take(indices, axis=1)
         return sub
 
     def __repr__(self) -> str:

@@ -168,7 +168,7 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError(
                 f"expected {matrix.n_rows} labels, got {y.shape}"
             )
-        if not np.all(np.abs(y) == 1.0):
+        if not (np.abs(y) == 1.0).all():
             raise ValueError("labels must all be -1 or +1")
         self.matrix = matrix
         self.labels = y

@@ -262,22 +262,32 @@ class TestBlockParse:
         n_blocks = len(list(datasets._blocks(long_prefix)))
         assert n_blocks > 1
         calls = {}
-        index_dtypes = set()
         for module in (datasets, linalg):
             check = module.check_csr
 
             def counted(*args, _check=check, _name=module.__name__):
                 calls[_name] = calls.get(_name, 0) + 1
-                if _name == "farsa.datasets":
-                    index_dtypes.update((args[2].dtype, args[3].dtype))
                 return _check(*args)
 
             monkeypatch.setattr(module, "check_csr", counted)
-        parse_libsvm(long_prefix)
-        # the blocks' checks cover the whole matrix, which is not checked again
+        built = []
+        csr_matrix = sp.csr_matrix
+
+        def constructed(*args, **kwargs):
+            built.append(kwargs["shape"])
+            return csr_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "csr_matrix", constructed)
+        ds = parse_libsvm(long_prefix)
+        # the blocks' checks cover the whole matrix, which is not checked
+        # again, and the sparse-held result is built into scipy once
         assert calls == {"farsa.datasets": n_blocks}
-        # indices that fit reach scipy as int32, which it takes without a copy
-        assert index_dtypes == {np.dtype(np.int32)}
+        assert ds.matrix.shape[0] * ds.matrix.shape[1] > DENSE_MAX_ENTRIES
+        assert built == [ds.matrix.shape]
+        # a dense-held result keeps the parsed arrays and builds no scipy matrix
+        small = parse_libsvm(io.StringIO("+1 1:0.5 3:-1\n-1 2:2\n"))
+        assert built == [ds.matrix.shape] and calls == {"farsa.datasets": n_blocks + 1}
+        assert small.matrix._dense.tolist() == [[0.5, 0.0, -1.0], [0.0, 2.0, 0.0]]
 
     def test_short_lines_memory_bound(self, tmp_path):
         # tall-shaped: many short rows, so per-row costs show; the bound is

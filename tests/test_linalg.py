@@ -7,8 +7,8 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from farsa import SparseMatrix
-from farsa.linalg import DENSE_MAX_ENTRIES, spmv, spmv_transpose
+from farsa import LogisticObjective, SolverConfig, SparseMatrix, linalg, solve
+from farsa.linalg import DENSE_MAX_ENTRIES, check_csr, spmv, spmv_transpose
 from reference import dense_matvec, dense_matvec_transpose, random_sparse_dense
 
 
@@ -72,10 +72,12 @@ def test_spmv_dimension_mismatch_raises():
         spmv_transpose(a, np.ones(5))
 
 
+NONDECREASING = "row_offsets must start at 0 and be nondecreasing"
+INCREASING = "column indices must be strictly increasing within each row"
+NON_FINITE = "matrix values contain non-finite entries"
+
+
 def test_csr_invariants_enforced():
-    nondecreasing = "row_offsets must start at 0 and be nondecreasing"
-    increasing = "column indices must be strictly increasing within each row"
-    non_finite = "matrix values contain non-finite entries"
     cases = [
         (lambda: SparseMatrix(-1, 2, [], [], []), "matrix dimensions must be nonnegative"),
         (lambda: SparseMatrix(2, -3, [0, 0, 0], [], []), "matrix dimensions must be nonnegative"),
@@ -83,10 +85,10 @@ def test_csr_invariants_enforced():
             lambda: SparseMatrix(2, 2, [0, 1], [0], [1.0]),
             "row_offsets must have length n_rows+1=3, got 2",
         ),
-        (lambda: SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0]), nondecreasing),
-        (lambda: SparseMatrix(1, 2, [1, 1], [], []), nondecreasing),
+        (lambda: SparseMatrix(2, 2, [0, 2, 1], [0, 1], [1.0, 2.0]), NONDECREASING),
+        (lambda: SparseMatrix(1, 2, [1, 1], [], []), NONDECREASING),
         # runs past nnz mid-array: must raise before any scan reads cols[0:5]
-        (lambda: SparseMatrix(2, 3, [0, 5, 2], [0, 1], [1.0, 2.0]), nondecreasing),
+        (lambda: SparseMatrix(2, 3, [0, 5, 2], [0, 1], [1.0, 2.0]), NONDECREASING),
         (
             lambda: SparseMatrix(1, 3, [0, 1], [0, 1], [1.0, 2.0]),
             "inconsistent nnz: row_offsets end 1, 2 column indices, 2 values",
@@ -97,12 +99,12 @@ def test_csr_invariants_enforced():
         ),
         (lambda: SparseMatrix(1, 2, [0, 1], [5], [1.0]), "column index out of range [0, 2)"),
         (lambda: SparseMatrix(1, 2, [0, 1], [-1], [1.0]), "column index out of range [0, 2)"),
-        (lambda: SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0]), increasing),
-        (lambda: SparseMatrix(2, 3, [0, 1, 3], [0, 2, 1], [1.0, 2.0, 3.0]), increasing),
-        (lambda: SparseMatrix(1, 3, [0, 2], [2, 1], [np.nan, 2.0]), increasing),
-        (lambda: SparseMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, np.inf]), non_finite),
+        (lambda: SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0]), INCREASING),
+        (lambda: SparseMatrix(2, 3, [0, 1, 3], [0, 2, 1], [1.0, 2.0, 3.0]), INCREASING),
+        (lambda: SparseMatrix(1, 3, [0, 2], [2, 1], [np.nan, 2.0]), INCREASING),
+        (lambda: SparseMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, np.inf]), NON_FINITE),
         (lambda: SparseMatrix.from_dense([1.0, 2.0, 3.0]), "expected a 2-d array, got shape (3,)"),
-        (lambda: SparseMatrix.from_dense([[1.0, 0.0], [0.0, np.nan]]), non_finite),
+        (lambda: SparseMatrix.from_dense([[1.0, 0.0], [0.0, np.nan]]), NON_FINITE),
     ]
     for build, message in cases:
         with pytest.raises(ValueError) as raised:
@@ -110,6 +112,191 @@ def test_csr_invariants_enforced():
         assert str(raised.value) == message
     # equal column indices are fine across a row boundary
     SparseMatrix(2, 3, [0, 1, 2], [1, 1], [1.0, 2.0])
+
+
+def scipy_verdict(n_rows, n_cols, offsets, cols, values):
+    """The first rule broken, as scipy defines a canonical CSR matrix."""
+    if offsets.shape != (n_rows + 1,):
+        return f"row_offsets must have length n_rows+1={n_rows + 1}, got {offsets.shape[0]}"
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        return NONDECREASING
+    if offsets[-1] != cols.shape[0] or cols.shape != values.shape:
+        return (
+            f"inconsistent nnz: row_offsets end {offsets[-1]}, "
+            f"{cols.shape[0]} column indices, {values.shape[0]} values"
+        )
+    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+        return f"column index out of range [0, {n_cols})"
+    # scipy's scan reads cols[offsets[i]:offsets[i+1]] unchecked, so it runs
+    # only on arrays that passed the rules above
+    if not sp.csr_matrix((values, cols, offsets), shape=(n_rows, n_cols)).has_canonical_format:
+        return INCREASING
+    if not np.all(np.isfinite(values)):
+        return NON_FINITE
+    return None
+
+
+def check_verdict(*args):
+    try:
+        check_csr(*args)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def _random_csr(rng):
+    """Valid CSR arrays of random shape, often with leading, inner and
+    trailing empty rows; a row's first column is often at or below the
+    previous row's last."""
+    n_rows, n_cols = int(rng.integers(0, 7)), int(rng.integers(1, 6))
+    full = rng.random() < 0.8
+    rows = [
+        np.sort(rng.choice(n_cols, size=int(rng.integers(0, n_cols + 1)), replace=False))
+        if (full and 0 < i < n_rows - 1) or rng.random() < 0.4
+        else np.array([], dtype=np.int64)
+        for i in range(n_rows)
+    ]
+    offsets = np.concatenate(([0], np.cumsum([r.size for r in rows], dtype=np.int64)))
+    cols = np.concatenate(rows + [np.array([], dtype=np.int64)]).astype(np.int64)
+    return n_rows, n_cols, offsets, cols, rng.normal(size=cols.size)
+
+
+def _inject(rng, n_rows, n_cols, offsets, cols, values):
+    """One fault, or none, in copies of the arrays; the fault's name."""
+    offsets, cols, values = offsets.copy(), cols.copy(), values.copy()
+    within = [k for i in range(n_rows) for k in range(offsets[i], offsets[i + 1] - 1)]
+    fault = str(rng.choice([
+        "none", "repeat", "descend", "offsets_end_past", "offsets_mid_past",
+        "offsets_short", "offsets_start", "negative", "n_cols", "nan", "inf",
+    ]))  # fmt: skip
+    if fault in ("repeat", "descend") and within:
+        k = int(rng.choice(within))
+        if fault == "repeat":
+            cols[k + 1] = cols[k]
+        else:
+            cols[k], cols[k + 1] = cols[k + 1], cols[k]
+    elif fault == "offsets_end_past":
+        offsets[-1] += int(rng.integers(1, 3))
+    elif fault == "offsets_mid_past" and n_rows > 1:
+        offsets[int(rng.integers(1, n_rows))] = offsets[-1] + 1
+    elif fault == "offsets_short":
+        offsets = offsets[:-1]
+    elif fault == "offsets_start":
+        offsets[0] = 1
+    elif fault in ("negative", "n_cols") and cols.size:
+        cols[int(rng.integers(cols.size))] = -1 if fault == "negative" else n_cols
+    elif fault in ("nan", "inf") and values.size:
+        values[int(rng.integers(values.size))] = np.nan if fault == "nan" else -np.inf
+    else:
+        fault = "none"
+    return fault, offsets, cols, values
+
+
+def test_check_csr_agrees_with_scipy_definition():
+    # the numpy check accepts and rejects exactly what the scipy definition
+    # does, naming the same first rule, for every index dtype pairing
+    rng = np.random.default_rng(23)
+    dtypes = [
+        (np.int32, np.int32), (np.int64, np.int64), (np.int32, np.int64), (np.int64, np.int32),
+    ]  # fmt: skip
+    seen = set()
+    valid_row_starts = 0
+    for _ in range(3000):
+        n_rows, n_cols, offsets, cols, values = _random_csr(rng)
+        fault, offsets, cols, values = _inject(rng, n_rows, n_cols, offsets, cols, values)
+        offset_dtype, col_dtype = dtypes[int(rng.integers(len(dtypes)))]
+        args = (n_rows, n_cols, offsets.astype(offset_dtype), cols.astype(col_dtype), values)
+        want = scipy_verdict(*args)
+        assert check_verdict(*args) == want, (fault, args)
+        seen.add((fault, want is None))
+        if want is None and n_rows and offsets[-1]:
+            row_nnz = np.diff(offsets)
+            starts = offsets[1:-1][(row_nnz[1:] > 0) & (offsets[1:-1] > 0)]
+            valid_row_starts += int(np.any(cols[starts] <= cols[starts - 1]))
+    # every fault was drawn and rejected, and valid arrays were accepted
+    faults = ["repeat", "descend", "offsets_end_past", "offsets_mid_past", "offsets_short",
+              "offsets_start", "negative", "n_cols", "nan", "inf"]  # fmt: skip
+    assert seen == {("none", True)} | {(f, False) for f in faults}
+    assert valid_row_starts > 100
+
+
+def test_check_csr_edge_cases():
+    def csr(offsets, cols, values, dtype=np.int64):
+        return np.array(offsets, dtype=dtype), np.array(cols, dtype=dtype), np.array(values)
+
+    cases = [
+        # no rows; no stored entries; leading, inner and trailing empty rows
+        (0, 3, csr([0], [], []), None),
+        (3, 3, csr([0, 0, 0, 0], [], []), None),
+        (4, 3, csr([0, 0, 2, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0]), None),
+        (4, 3, csr([0, 0, 2, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], np.int32), None),
+        # the first column of a row at or below the previous row's last
+        (2, 3, csr([0, 2, 3], [1, 2, 2], [1.0, 2.0, 3.0]), None),
+        (2, 3, csr([0, 2, 3], [1, 2, 0], [1.0, 2.0, 3.0]), None),
+        # a repeated column and a descending pair, after empty rows or before them
+        (3, 3, csr([0, 0, 2, 2], [1, 1], [1.0, 2.0]), INCREASING),
+        (3, 3, csr([0, 2, 2, 2], [2, 1], [1.0, 2.0]), INCREASING),
+        (2, 3, csr([0, 0, 3], [0, 2, 2], [1.0, 2.0, 3.0]), INCREASING),
+        # offsets[-1] past the stored entries; then the range and finite rules
+        (
+            1, 3, csr([0, 3], [0, 1], [1.0, 2.0]),
+            "inconsistent nnz: row_offsets end 3, 2 column indices, 2 values",
+        ),
+        (2, 3, csr([0, 1, 1], [0], [np.nan]), NON_FINITE),
+        (1, 3, csr([0, 1], [3], [1.0]), "column index out of range [0, 3)"),
+        (1, 3, csr([0, 1], [-1], [1.0]), "column index out of range [0, 3)"),
+        (1, 3, csr([0, 2], [0, 1], [1.0, np.inf]), NON_FINITE),
+    ]  # fmt: skip
+    for n_rows, n_cols, arrays, message in cases:
+        assert scipy_verdict(n_rows, n_cols, *arrays) == message
+        assert check_verdict(n_rows, n_cols, *arrays) == message
+        # mixed index dtypes give the same verdict
+        offsets, cols, values = arrays
+        assert check_verdict(n_rows, n_cols, offsets.astype(np.int32), cols, values) == message
+        assert check_verdict(n_rows, n_cols, offsets, cols.astype(np.int32), values) == message
+
+
+def test_small_matrix_builds_no_scipy_form(monkeypatch):
+    rng = np.random.default_rng(24)
+    m, n = 60, 12
+    csr = _small_with_stored_zeros(rng, m, n)
+    zeros = np.flatnonzero(csr.data == 0.0)
+    assert zeros.size >= 2
+    csr.data[zeros[::2]] = -0.0
+    labels = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    # setup and solves call nothing of scipy
+    monkeypatch.setattr(linalg, "sp", None)
+    a = SparseMatrix(m, n, csr.indptr, csr.indices, csr.data)
+    assert a.nnz == csr.nnz
+    report = solve(LogisticObjective(a, labels), SolverConfig(lam=0.5))
+    monkeypatch.undo()
+    assert report.iterations > 0 and "_matrix" not in vars(a)
+    # the dense copy is bitwise scipy's, stored zeros of either sign included
+    dense = vars(a)["_dense"]
+    assert dense.flags.c_contiguous and dense.tobytes() == csr.toarray().tobytes()
+    rows = np.repeat(np.arange(m), np.diff(csr.indptr))
+    assert not np.signbit(dense[rows[zeros], csr.indices[zeros]]).any()
+
+
+def test_small_matrix_reads_back_scipy_arrays():
+    # the CSR properties read the scipy form, built on first read: its values
+    # and the index dtype scipy picks, for each pairing of index dtypes
+    rng = np.random.default_rng(25)
+    for offset_dtype, col_dtype in [
+        (np.int32, np.int32), (np.int64, np.int64), (np.int32, np.int64), (np.int64, np.int32),
+    ]:  # fmt: skip
+        m, n = rng.integers(1, 80, size=2)
+        csr = _small_with_stored_zeros(rng, m, n)
+        offsets, cols = csr.indptr.astype(offset_dtype), csr.indices.astype(col_dtype)
+        a = SparseMatrix(m, n, offsets, cols, csr.data)
+        assert a.nnz == csr.nnz and "_matrix" not in vars(a)
+        want = sp.csr_matrix((csr.data, cols, offsets), shape=(m, n))
+        for got, expected in [
+            (a.row_offsets, want.indptr), (a.col_indices, want.indices), (a.values, want.data),
+        ]:  # fmt: skip
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert a.row_offsets.dtype == a.col_indices.dtype == np.int32
+        assert a._dense.tobytes() == a.to_dense().tobytes() == csr.toarray().tobytes()
 
 
 def _dense_with_empty_rows(rng, m, n):
