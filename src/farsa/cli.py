@@ -219,7 +219,7 @@ def _report_dict(
 
 
 def _write_trace(path: str, report: SolveReport) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         names = [f.name for f in dataclasses.fields(IterationRecord)]
         writer.writerow(names)

@@ -1,11 +1,22 @@
 """LIBSVM-format ingestion, label normalization, and feature scalings.
 
-Parsing is block-wise: lines are gathered into blocks of about 64 KB of
-text, and each block is split, converted and checked with whole-array
-operations, then appended to growable flat arrays.  Peak memory is
-proportional to the number of stored entries plus one block, never to
-rows*columns, and ``.gz`` input is read as a stream.  Column indices in
-files are 1-based; in memory everything is 0-based.
+Parsing is block-wise: the input is cut into blocks of whole lines, about
+64 KB of text each, and each block is converted and checked with
+whole-array operations on its UTF-8 bytes, then appended to growable flat
+arrays.  Byte comparisons find the tokens, the lines and the colons.  A
+label, index or value written ``[+-]?digits[.digits]`` with at most 15
+digits and dot is converted by integer arithmetic on its digit bytes: the
+digits make an integer m < 10**15 < 2**53, an index is m (in int64), and
+a label or value is m / 10**k for k digits after the dot.  Both m and
+10**k are exact doubles and one division rounds correctly, so that is
+bitwise what ``float()`` returns.  Every other token (an exponent,
+``nan``, ``1_0``, non-ASCII digits, more digits) is converted alone by
+``float()`` or ``int()``, so each token reads as Python reads it.
+
+Peak memory is proportional to the number of stored entries plus one
+block, never to rows*columns, and ``.gz`` input is read as a stream.
+Files are read and written as UTF-8.  Column indices in files are 1-based;
+in memory everything is 0-based.
 """
 
 from __future__ import annotations
@@ -14,7 +25,6 @@ import gzip
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain
 from os import PathLike
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -37,9 +47,23 @@ __all__ = [
 # Characters of text parsed per block: large enough that per-block overhead
 # is small, small enough that a block's tokens stay a few hundred KB.
 _BLOCK_CHARS = 1 << 16
-_COLON, _SPACE = ord(":"), ord(" ")
+_COLON, _SPACE, _NEWLINE = ord(":"), ord(" "), ord("\n")
+_PLUS, _MINUS, _DOT, _ZERO = ord("+"), ord("-"), ord("."), ord("0")
+# Bytes other than the ASCII controls that str.split() does not split at
+_NOT_CONTROL = bytes(range(9, 14)) + bytes(range(28, 127)) + bytes(range(128, 256))
+# Fields of at most this many digits and dot convert by array arithmetic:
+# their digits make an integer below 10**15 < 2**53
+_WIDTH = 15
+# Each field is read from the 16 bytes that end it (a power of two above
+# _WIDTH), so a block's bytes follow that many spaces
+_LEAD = 16
+# 10**k, then -10**k: the divisors that turn the digits of a field with k
+# of them after the dot, and its sign, into a float
+_DIVISORS = np.concatenate((10.0 ** np.arange(_LEAD), -(10.0 ** np.arange(_LEAD))))
+# Types that hold the values of groups of 2, 4, 8 and 16 digits
+_GROUP_TYPES = (np.uint8, np.uint16, np.uint32, np.int64)
 _INT32_MAX = int(np.iinfo(np.int32).max)
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class DatasetFormatError(ValueError):
@@ -69,42 +93,51 @@ class Dataset:
         return self.matrix.n_cols
 
 
-def _blocks(source: Iterable[str]) -> Iterator[list[str]]:
-    """Group lines into lists of at most ``_BLOCK_CHARS`` characters.
+def _blocks(source: Iterable[str] | IO[str]) -> Iterator[str]:
+    """Cut the input into texts of whole lines, each ending in ``"\\n"``.
 
-    A line longer than that is a list of its own.
+    A file-like source is read ``_BLOCK_CHARS`` characters at a time and
+    cut after the last ``"\\n"`` of what has been read, so a text is about
+    one read long unless a single line is longer.  The lines of an iterable
+    are grouped to at most ``_BLOCK_CHARS`` characters (a longer line is a
+    group of its own) and joined with ``"\\n"``; a ``"\\n"`` inside a line,
+    which ``str.split`` reads as whitespace, becomes a space, so each
+    element stays one line.  Every text holds as many lines as ``"\\n"``s.
     """
+    if hasattr(source, "read"):
+        pending: list[str] = []  # the read text after the last line end
+        while chunk := source.read(_BLOCK_CHARS):
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                yield "".join(pending) + chunk[:cut]
+                pending = [chunk[cut:]]
+            else:
+                pending.append(chunk)
+        if tail := "".join(pending):
+            yield tail + "\n"
+        return
     block: list[str] = []
     size = 0
     for line in source:
         if block and size + len(line) > _BLOCK_CHARS:
-            yield block
+            yield _joined(block)
             block, size = [], 0
         block.append(line)
         size += len(line)
     if block:
-        yield block
+        yield _joined(block)
 
 
-def _one_colon_each(features: str) -> bool:
-    """Whether every space-separated token of ``features`` holds exactly one colon.
-
-    With as many colons as tokens, that holds when colon ``i`` falls
-    between spaces ``i-1`` and ``i``.  In UTF-8 the bytes of " " and ":"
-    occur only as those characters.
-    """
-    text = np.frombuffer(features.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    colons = np.flatnonzero(text == _COLON)
-    spaces = np.flatnonzero(text == _SPACE)
-    return bool(
-        colons.size == spaces.size + 1
-        and np.all(colons[:-1] < spaces)
-        and np.all(spaces < colons[1:])
-    )
+def _joined(lines: list[str]) -> str:
+    """Lines as one text, each ending in its own ``"\\n"``."""
+    text = "\n".join(lines) + "\n"
+    if text.count("\n") != len(lines):
+        text = "\n".join(line.replace("\n", " ") for line in lines) + "\n"
+    return text
 
 
-def _parse_block(lines: list[str], normalize_labels: bool) -> tuple[np.ndarray, ...] | None:
-    """Parse a list of lines with whole-array conversions and checks.
+def _parse_block(text: str, normalize_labels: bool) -> tuple[np.ndarray, ...] | None:
+    """Parse whole lines, each ending in ``"\\n"``, with array operations on their bytes.
 
     Returns ``(labels, offsets, cols, values)`` with 0-based int64 ``cols``,
     or None if any line is malformed; blank lines contribute no row.
@@ -112,40 +145,158 @@ def _parse_block(lines: list[str], normalize_labels: bool) -> tuple[np.ndarray, 
     does, so ``1.0:2`` is rejected.  The index, order and finiteness checks
     are borrowed from ``check_csr``, the matrix's definition of valid.
     """
-    rows = [tokens for tokens in map(str.split, lines) if tokens]
-    features = " ".join(chain.from_iterable([tokens[1:] for tokens in rows]))
-    if features and not _one_colon_each(features):
+    data = text.encode("utf-8", "surrogatepass")
+    if not data.isascii():
+        # leave " " as the only gap between tokens, as str.split() finds
+        # them (it also splits at non-ASCII whitespace such as "\xa0")
+        text = "".join(" ".join(line.split()) + "\n" for line in text.split("\n")[:-1])
+        data = text.encode("utf-8", "surrogatepass")
+    if data.translate(None, _NOT_CONTROL):
+        return None  # a control byte: the token that holds it does not convert
+    # the bytes up to " " are now str.split()'s separators; the spaces in
+    # front let every field read the _LEAD bytes that end it
+    padded = np.frombuffer(b" " * _LEAD + data, dtype=np.uint8)
+    block = padded[_LEAD:]
+    # tokens are the runs of bytes above " "; with the lead space before the
+    # block and its final "\n", runs start at even and end at odd changes
+    word = padded[_LEAD - 1 :] > _SPACE
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    # the first token of each line is its label
+    first = np.zeros(starts.size + 1, dtype=bool)
+    first[0] = True
+    first[np.searchsorted(starts, np.flatnonzero(block == _NEWLINE))] = True
+    first = first[:-1]
+    label_at = np.flatnonzero(first)
+    feature_starts, feature_ends = starts[~first], ends[~first]
+    # colon i must fall in feature token i: one colon in each, none in labels
+    colons = np.flatnonzero(block == _COLON)
+    if colons.size != feature_starts.size or not (
+        np.all(feature_starts <= colons) and np.all(colons < feature_ends)
+    ):
         return None
-    # "<idx> <val>" pairs; an empty side stays an empty string, which fails
-    # to convert
-    parts = features.replace(":", " ").split(" ") if features else []
-    try:
-        labels = np.array([tokens[0] for tokens in rows], dtype=np.float64)
-        cols = np.array(parts[0::2], dtype=np.int64)
-        values = np.array(parts[1::2], dtype=np.float64)
-    except (ValueError, OverflowError):  # OverflowError: an index beyond int64
+    rows = label_at.size
+    numbers = _Fields(
+        data,
+        padded,
+        np.concatenate((starts[label_at], feature_starts, colons + 1)),
+        np.concatenate((ends[label_at], colons, feature_ends)),
+    )
+    labels = numbers.floats(0, rows)
+    cols = numbers.ints(rows, rows + colons.size)
+    values = numbers.floats(rows + colons.size, rows + 2 * colons.size)
+    if labels is None or cols is None or values is None:
         return None
     if normalize_labels:
         # "+1"/"1" -> +1; "-1"/"0" -> -1 (0/1-labeled files)
         if not np.all((labels == 1.0) | (labels == -1.0) | (labels == 0.0)):
             return None
         labels = np.where(labels == 1.0, 1.0, -1.0)
-    row_nnz = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) - 1
-    offsets = np.concatenate(([0], np.cumsum(row_nnz)))
+    offsets = np.append(label_at, starts.size) - np.arange(rows + 1)
     # the width is taken before the shift to 0-based, in which the index
     # -2**63 wraps to 2**63 - 1 and so lands out of range
     width = int(cols.max()) if cols.size else 0
     cols -= 1
     try:
-        check_csr(len(rows), width, offsets, cols, values)
+        check_csr(rows, width, offsets, cols, values)
     except ValueError:
         return None
     return labels, offsets, cols, values
 
 
-def _block_error(
-    lines: list[str], first_line_no: int, normalize_labels: bool
-) -> DatasetFormatError:
+class _Fields:
+    """Fields ``data[starts[i]:ends[i]]`` of a block, converted by array arithmetic.
+
+    A field that is an optional sign, then ASCII digits with at most one
+    dot among them, at least one digit and at most ``_WIDTH`` digits and
+    dot, is read from its bytes: a Horner pass over the byte columns of
+    all such fields at once makes the integer m of its digits (the dot
+    multiplies by 1 rather than by 10), and the field is ``m / 10**k`` for
+    k digits after the dot.  Both m < 10**15 < 2**53 and 10**k are exact
+    doubles, so their correctly rounded quotient is what ``float()``
+    returns (Clinger's fast path), and m is what ``int()`` returns for a
+    field without a dot.  Every other field (exponents,
+    ``nan``, ``inf``, ``1_0``, non-ASCII digits, longer fields, malformed
+    text) goes through ``_convert_token`` on its own.
+    """
+
+    def __init__(self, data: bytes, padded: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        self.data, self.starts, self.ends = data, starts, ends
+        sign = padded[starts + _LEAD]
+        self.negative = sign == _MINUS
+        length = ends - starts - (self.negative | (sign == _PLUS))
+        # the bytes that end each field, in a power-of-two number of rows:
+        # row r holds, for every field, the byte `back[r]` bytes before its
+        # end, and bytes before the field (its sign, say) read as the digit 0
+        longest = min(max(int(length.max(initial=0)), 1), _LEAD)
+        width = 1 << (longest - 1).bit_length()
+        back = np.arange(width, 0, -1, dtype=np.uint8)[:, None]
+        n_words = -(-width // 8)
+        # the 8 bytes from each offset of the block, gathered a word at a time
+        eights = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+        window = np.empty((starts.size, n_words), dtype="<u8")
+        for j in range(n_words):
+            window[:, j] = eights[ends + _LEAD - 8 * (n_words - j)]
+        digits = window.view(np.uint8)[:, 8 * n_words - width :].T.copy()
+        digits -= np.uint8(_ZERO)
+        digits *= back <= np.minimum(length, _LEAD).astype(np.uint8)
+        dot = (digits == np.uint8((_DOT - _ZERO) % 256)).view(np.uint8)
+        other = digits > 9
+        dots = dot.sum(axis=0, dtype=np.uint8)
+        self.dotted = dots > 0
+        self.fraction = (dot * (back - np.uint8(1))).sum(axis=0, dtype=np.uint8)
+        self.fast = (
+            ~np.logical_or.reduce(other != dot, axis=0)
+            & (dots <= 1)
+            & (length > dots)
+            & (length <= _WIDTH)
+        )
+        self.fraction *= self.fast  # a field that is not fast is converted alone
+        self.divisor = self.fraction + np.uint8(_LEAD) * self.negative
+        digits *= ~other
+        # Horner's rule on pairs of rows, then pairs of pairs: a group's
+        # value is the left value times the right scale plus the right
+        # value, with scale 10 per digit and 1 for the dot
+        value, scale = digits, np.uint8(10) - np.uint8(9) * dot
+        for kind in _GROUP_TYPES[: width.bit_length() - 1]:
+            value = value[0::2].astype(kind, copy=False) * scale[1::2] + value[1::2]
+            scale = scale[0::2].astype(kind, copy=False) * scale[1::2]
+        self.mantissa = value[0].astype(np.int64)
+
+    def floats(self, lo: int, hi: int) -> np.ndarray | None:
+        """Fields ``lo:hi`` as ``float()`` reads them; None if one does not convert."""
+        part = slice(lo, hi)
+        out = self.mantissa[part] / _DIVISORS.take(self.divisor[part])
+        return self._fill(out, self.fast[part], lo, float)
+
+    def ints(self, lo: int, hi: int) -> np.ndarray | None:
+        """Fields ``lo:hi`` as ``int()`` reads them, in int64; None if one does not convert."""
+        part = slice(lo, hi)
+        out = self.mantissa[part]  # each field is read once, so a view will do
+        np.negative(out, out=out, where=self.negative[part])
+        return self._fill(out, self.fast[part] & ~self.dotted[part], lo, int)
+
+    def _fill(self, out: np.ndarray, fast: np.ndarray, lo: int, convert: type):
+        """Convert the fields of ``out`` that are not ``fast`` one at a time."""
+        for i in np.flatnonzero(~fast).tolist():
+            number = _convert_token(
+                self.data[self.starts[lo + i] : self.ends[lo + i]], convert
+            )
+            if number is None or (convert is int and not _INT64_MIN <= number <= _INT64_MAX):
+                return None
+            out[i] = number
+        return out
+
+
+def _convert_token(token: bytes, convert: type) -> float | int | None:
+    """``float(token)`` or ``int(token)``; None when it does not convert."""
+    try:
+        return convert(token.decode("utf-8", "surrogatepass"))
+    except ValueError:
+        return None
+
+
+def _block_error(text: str, first_line_no: int, normalize_labels: bool) -> DatasetFormatError:
     """The error for the first malformed line of a block that failed to parse.
 
     Every check is per line, so a prefix of the block fails exactly when it
@@ -153,9 +304,10 @@ def _block_error(
     when it holds the first bad token.
     """
 
-    def fails(block: list[str]) -> bool:
-        return _parse_block(block, normalize_labels) is None
+    def fails(lines: list[str]) -> bool:
+        return _parse_block("".join(line + "\n" for line in lines), normalize_labels) is None
 
+    lines = text.split("\n")[:-1]
     k = 1 + bisect_left(range(1, len(lines) + 1), True, key=lambda k: fails(lines[:k]))
     tokens = lines[k - 1].split()
     j = 1 + bisect_left(
@@ -196,8 +348,11 @@ def parse_libsvm(
 ) -> Dataset:
     """Parse "<label> <idx>:<val> ..." lines into a Dataset.
 
-    Indices must be 1-based and strictly increasing within a line; blank
-    lines are skipped.  The column count is the largest index seen unless
+    ``source`` is a text handle, whose lines end at ``"\\n"`` (a handle
+    opened in the default newline mode translates ``"\\r\\n"`` and ``"\\r"``
+    to it), or an iterable of lines, each of them one line.  Indices must
+    be 1-based and strictly increasing within a line; blank lines are
+    skipped.  The column count is the largest index seen unless
     ``n_features`` forces a wider matrix (for files whose trailing features
     are all zero).  With ``normalize_labels=False`` raw numeric labels are
     kept (digit-labeled files need relabeling before use as a Dataset).
@@ -221,7 +376,7 @@ def parse_libsvm(
         parsed = _parse_block(block, normalize_labels)
         if parsed is None:
             raise _block_error(block, line_no, normalize_labels)
-        line_no += len(block)
+        line_no += block.count("\n")
         block_labels, offsets, cols, block_values = parsed
         labels.frombytes(block_labels.tobytes())
         values.frombytes(block_values.tobytes())
@@ -259,10 +414,10 @@ def load_dataset(
     n_features: int | None = None,
     normalize_labels: bool = True,
 ) -> Dataset:
-    """Parse a LIBSVM file from disk; ".gz" paths are decompressed."""
+    """Parse a UTF-8 LIBSVM file from disk; ".gz" paths are decompressed."""
     p = Path(path)
     opener = gzip.open if p.suffix == ".gz" else open
-    with opener(p, "rt") as handle:
+    with opener(p, "rt", encoding="utf-8") as handle:
         return parse_libsvm(
             handle,
             n_features=n_features,
@@ -276,14 +431,14 @@ def write_libsvm(dataset: Dataset, target: str | PathLike | IO[str]) -> None:
 
     Labels and values are written in their shortest round-trip form (an
     integral label without its ".0"), so parsing the output reproduces the
-    dataset exactly.
+    dataset exactly.  A path is written as UTF-8.
     """
     if hasattr(target, "write"):
         _write_lines(dataset, target)
         return
     p = Path(target)
     opener = gzip.open if p.suffix == ".gz" else open
-    with opener(p, "wt") as handle:
+    with opener(p, "wt", encoding="utf-8") as handle:
         _write_lines(dataset, handle)
 
 

@@ -181,7 +181,8 @@ class TestSolveCommand:
             ["solve", "--data", small_problem, "--trace", str(trace_path)],
         )
         assert code == 0
-        rows = list(csv.DictReader(trace_path.open()))
+        with trace_path.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
         assert rows, "trace is empty"
         objectives = [float(r["objective"]) for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
@@ -194,7 +195,8 @@ class TestSolveCommand:
             ["solve", "--data", small_problem, "--trace", str(trace_path)],
         )
         assert code == 0
-        header = next(csv.reader(trace_path.open()))
+        with trace_path.open(encoding="utf-8", newline="") as handle:
+            header = next(csv.reader(handle))
         assert header == [f.name for f in dataclasses.fields(IterationRecord)]
 
     def test_repeat_reports_mean_time(self, capsys, small_problem):
