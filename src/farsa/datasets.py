@@ -9,9 +9,11 @@ digits and dot is converted by integer arithmetic on its digit bytes: the
 digits make an integer m < 10**15 < 2**53, an index is m (in int64), and
 a label or value is m / 10**k for k digits after the dot.  Both m and
 10**k are exact doubles and one division rounds correctly, so that is
-bitwise what ``float()`` returns.  Every other token (an exponent,
-``nan``, ``1_0``, non-ASCII digits, more digits) is converted alone by
-``float()`` or ``int()``, so each token reads as Python reads it.
+bitwise what ``float()`` returns.  The other tokens of a block (an
+exponent, ``nan``, ``1_0``, non-ASCII digits, more digits) are gathered
+into one list per kind and converted by one ``np.array`` call, which reads
+each as ``float()`` or ``int()`` does, so every token reads as Python
+reads it.
 
 Peak memory is proportional to the number of stored entries plus one
 block, never to rows*columns, and ``.gz`` input is read as a stream.
@@ -63,7 +65,7 @@ _DIVISORS = np.concatenate((10.0 ** np.arange(_LEAD), -(10.0 ** np.arange(_LEAD)
 # Types that hold the values of groups of 2, 4, 8 and 16 digits
 _GROUP_TYPES = (np.uint8, np.uint16, np.uint32, np.int64)
 _INT32_MAX = int(np.iinfo(np.int32).max)
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class DatasetFormatError(ValueError):
@@ -130,10 +132,7 @@ def _blocks(source: Iterable[str] | IO[str]) -> Iterator[str]:
 
 def _joined(lines: list[str]) -> str:
     """Lines as one text, each ending in its own ``"\\n"``."""
-    text = "\n".join(lines) + "\n"
-    if text.count("\n") != len(lines):
-        text = "\n".join(line.replace("\n", " ") for line in lines) + "\n"
-    return text
+    return "\n".join([line.replace("\n", " ") for line in lines]) + "\n"
 
 
 def _parse_block(text: str, normalize_labels: bool) -> tuple[np.ndarray, ...] | None:
@@ -177,6 +176,7 @@ def _parse_block(text: str, normalize_labels: bool) -> tuple[np.ndarray, ...] | 
         return None
     rows = label_at.size
     numbers = _Fields(
+        text if len(text) == len(data) else None,
         data,
         padded,
         np.concatenate((starts[label_at], feature_starts, colons + 1)),
@@ -217,18 +217,30 @@ class _Fields:
     returns (Clinger's fast path), and m is what ``int()`` returns for a
     field without a dot.  Every other field (exponents,
     ``nan``, ``inf``, ``1_0``, non-ASCII digits, longer fields, malformed
-    text) goes through ``_convert_token`` on its own.
+    text) is gathered with the others of its kind and converted by one
+    ``np.array`` call, which reads each as ``float()`` or ``int()`` does.
     """
 
-    def __init__(self, data: bytes, padded: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-        self.data, self.starts, self.ends = data, starts, ends
+    def __init__(
+        self,
+        text: str | None,
+        data: bytes,
+        padded: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+    ):
+        # text is the block's text when it is ASCII, so that a byte offset
+        # is a character offset; otherwise None
+        self.text, self.data, self.starts, self.ends = text, data, starts, ends
         sign = padded[starts + _LEAD]
         self.negative = sign == _MINUS
         length = ends - starts - (self.negative | (sign == _PLUS))
-        # the bytes that end each field, in a power-of-two number of rows:
-        # row r holds, for every field, the byte `back[r]` bytes before its
-        # end, and bytes before the field (its sign, say) read as the digit 0
-        longest = min(max(int(length.max(initial=0)), 1), _LEAD)
+        # the bytes that end each field, in a power-of-two number of rows
+        # that holds the longest field of at most _WIDTH (a longer one
+        # takes the fallback, so its window may cut it): row r holds, for
+        # every field, the byte `back[r]` bytes before its end, and bytes
+        # before the field (its sign, say) read as the digit 0
+        longest = int(length.max(initial=1, where=length <= _WIDTH))
         width = 1 << (longest - 1).bit_length()
         back = np.arange(width, 0, -1, dtype=np.uint8)[:, None]
         n_words = -(-width // 8)
@@ -251,7 +263,7 @@ class _Fields:
             & (length > dots)
             & (length <= _WIDTH)
         )
-        self.fraction *= self.fast  # a field that is not fast is converted alone
+        self.fraction *= self.fast  # a field that is not fast takes the fallback
         self.divisor = self.fraction + np.uint8(_LEAD) * self.negative
         digits *= ~other
         # Horner's rule on pairs of rows, then pairs of pairs: a group's
@@ -267,32 +279,41 @@ class _Fields:
         """Fields ``lo:hi`` as ``float()`` reads them; None if one does not convert."""
         part = slice(lo, hi)
         out = self.mantissa[part] / _DIVISORS.take(self.divisor[part])
-        return self._fill(out, self.fast[part], lo, float)
+        return self._fill(out, self.fast[part], lo, np.float64)
 
     def ints(self, lo: int, hi: int) -> np.ndarray | None:
         """Fields ``lo:hi`` as ``int()`` reads them, in int64; None if one does not convert."""
         part = slice(lo, hi)
         out = self.mantissa[part]  # each field is read once, so a view will do
         np.negative(out, out=out, where=self.negative[part])
-        return self._fill(out, self.fast[part] & ~self.dotted[part], lo, int)
+        return self._fill(out, self.fast[part] & ~self.dotted[part], lo, np.int64)
 
-    def _fill(self, out: np.ndarray, fast: np.ndarray, lo: int, convert: type):
-        """Convert the fields of ``out`` that are not ``fast`` one at a time."""
-        for i in np.flatnonzero(~fast).tolist():
-            number = _convert_token(
-                self.data[self.starts[lo + i] : self.ends[lo + i]], convert
-            )
-            if number is None or (convert is int and not _INT64_MIN <= number <= _INT64_MAX):
-                return None
-            out[i] = number
+    def _fill(self, out: np.ndarray, fast: np.ndarray, lo: int, dtype: type):
+        """Convert the fields of ``out`` that are not ``fast``, all in one call."""
+        slow = np.flatnonzero(~fast)
+        if not slow.size:
+            return out
+        bounds = zip(self.starts[lo + slow].tolist(), self.ends[lo + slow].tolist())
+        text, data = self.text, self.data
+        if text is not None:
+            tokens = [text[start:end] for start, end in bounds]
+        else:
+            tokens = [data[start:end].decode("utf-8", "surrogatepass") for start, end in bounds]
+        numbers = _convert_tokens(tokens, dtype)
+        if numbers is None:
+            return None
+        out[slow] = numbers
         return out
 
 
-def _convert_token(token: bytes, convert: type) -> float | int | None:
-    """``float(token)`` or ``int(token)``; None when it does not convert."""
+def _convert_tokens(tokens: list[str], dtype: type) -> np.ndarray | None:
+    """Tokens as ``float()`` or ``int()`` reads them, in float64 or int64.
+
+    None when one does not convert, or an index is beyond int64.
+    """
     try:
-        return convert(token.decode("utf-8", "surrogatepass"))
-    except ValueError:
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
         return None
 
 

@@ -119,15 +119,15 @@ def bench_style_lines(rng, n_rows, n_cols, value_text):
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
-    """Tokens handed to ``float()`` or ``int()`` one at a time, in call order."""
+    """Token lists handed to the ``float()``/``int()`` fallback, one per call."""
     calls = []
-    convert = datasets._convert_token
+    convert = datasets._convert_tokens
 
-    def counted(token, kind):
-        calls.append(token)
-        return convert(token, kind)
+    def counted(tokens, dtype):
+        calls.append(list(tokens))
+        return convert(tokens, dtype)
 
-    monkeypatch.setattr(datasets, "_convert_token", counted)
+    monkeypatch.setattr(datasets, "_convert_tokens", counted)
     return calls
 
 
@@ -142,10 +142,10 @@ class TestBoundaryTokens:
 
     def test_table_covers_both_paths(self, fallback_calls):
         # each token that is not of the plain decimal form, or that has
-        # more than 15 digits and dot, reaches float() alone
+        # more than 15 digits and dot, reaches the float() fallback
         values = [t for t in BOUNDARY_TOKENS if t not in ("-", "+", ".", "-.")]
         parse_libsvm([f"+1 {i + 1}:{t}" for i, t in enumerate(values) if _is_finite(t)])
-        slow = {t.decode("utf-8") for t in fallback_calls}
+        slow = {token for call in fallback_calls for token in call}
         assert "1234567.1234567" not in slow and "-00012" not in slow
         assert {"1234567.12345678", "9007199254740993", "1e5", "1_0"} <= slow
 
@@ -174,7 +174,10 @@ class TestFastPath:
         expected = outcome(parse_libsvm_scalar, lines, True)
         assert outcome(parse_libsvm, lines, True) == expected
         n_values = len(expected[3])
-        assert n_values > 5_000 and len(fallback_calls) == n_values
+        assert n_values > 5_000 and sum(map(len, fallback_calls)) == n_values
+        # one call per block converts all of its values
+        n_blocks = len(list(datasets._blocks(lines)))
+        assert n_blocks > 1 and len(fallback_calls) == n_blocks
 
 
 class TestLineSources:
