@@ -1,7 +1,7 @@
 """LIBSVM-format ingestion, label normalization, and feature scalings.
 
 Parsing is block-wise: the input is cut into blocks of whole lines, about
-64 KB of text each, and each block is converted and checked with
+256 KB of text each, and each block is converted and checked with
 whole-array operations on its UTF-8 bytes, then appended to growable flat
 arrays.  Byte comparisons find the tokens, the lines and the colons.  A
 label, index or value written ``[+-]?digits[.digits]`` with at most 15
@@ -9,7 +9,9 @@ digits and dot is converted by integer arithmetic on its digit bytes: the
 digits make an integer m < 10**15 < 2**53, an index is m (in int64), and
 a label or value is m / 10**k for k digits after the dot.  Both m and
 10**k are exact doubles and one division rounds correctly, so that is
-bitwise what ``float()`` returns.  The other tokens of a block (an
+bitwise what ``float()`` returns.  The indices are read in one pass and
+the labels and values in another, each in a byte window as wide as the
+longest field of its own kind.  The other tokens of a block (an
 exponent, ``nan``, ``1_0``, non-ASCII digits, more digits) are gathered
 into one list per kind and converted by one ``np.array`` call, which reads
 each as ``float()`` or ``int()`` does, so every token reads as Python
@@ -46,9 +48,10 @@ __all__ = [
     "relabel_binary_mnist",
 ]
 
-# Characters of text parsed per block: large enough that per-block overhead
-# is small, small enough that a block's tokens stay a few hundred KB.
-_BLOCK_CHARS = 1 << 16
+# Characters of text parsed per block (256 KB): large enough that the fixed
+# cost of a block's hundred-odd numpy calls is small, small enough that its
+# temporaries stay a few MB.
+_BLOCK_CHARS = 1 << 18
 _COLON, _SPACE, _NEWLINE = ord(":"), ord(" "), ord("\n")
 _PLUS, _MINUS, _DOT, _ZERO = ord("+"), ord("-"), ord("."), ord("0")
 # Bytes other than the ASCII controls that str.split() does not split at
@@ -135,14 +138,17 @@ def _joined(lines: list[str]) -> str:
     return "\n".join([line.replace("\n", " ") for line in lines]) + "\n"
 
 
-def _parse_block(text: str, normalize_labels: bool) -> tuple[np.ndarray, ...] | None:
+def _parse_block(
+    text: str, normalize_labels: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int] | None:
     """Parse whole lines, each ending in ``"\\n"``, with array operations on their bytes.
 
-    Returns ``(labels, offsets, cols, values)`` with 0-based int64 ``cols``,
-    or None if any line is malformed; blank lines contribute no row.
-    Labels and values convert as ``float()`` does and indices as ``int()``
-    does, so ``1.0:2`` is rejected.  The index, order and finiteness checks
-    are borrowed from ``check_csr``, the matrix's definition of valid.
+    Returns ``(labels, offsets, cols, values, n_lines)`` with 0-based int64
+    ``cols`` and the number of lines the text holds, or None if any line is
+    malformed; blank lines contribute no row.  Labels and values convert as
+    ``float()`` does and indices as ``int()`` does, so ``1.0:2`` is
+    rejected.  The index, order and finiteness checks are borrowed from
+    ``check_csr``, the matrix's definition of valid.
     """
     data = text.encode("utf-8", "surrogatepass")
     if not data.isascii():
@@ -162,9 +168,10 @@ def _parse_block(text: str, normalize_labels: bool) -> tuple[np.ndarray, ...] | 
     edges = np.flatnonzero(word[1:] != word[:-1])
     starts, ends = edges[0::2], edges[1::2]
     # the first token of each line is its label
+    newlines = np.flatnonzero(block == _NEWLINE)
     first = np.zeros(starts.size + 1, dtype=bool)
     first[0] = True
-    first[np.searchsorted(starts, np.flatnonzero(block == _NEWLINE))] = True
+    first[np.searchsorted(starts, newlines)] = True
     first = first[:-1]
     label_at = np.flatnonzero(first)
     feature_starts, feature_ends = starts[~first], ends[~first]
@@ -175,18 +182,22 @@ def _parse_block(text: str, normalize_labels: bool) -> tuple[np.ndarray, ...] | 
     ):
         return None
     rows = label_at.size
+    # indices and numbers convert apart, each in a window as wide as the
+    # longest field of its own kind
+    ascii_text = text if len(text) == len(data) else None
+    cols = _Fields(ascii_text, data, padded, feature_starts, colons).ints()
+    if cols is None:
+        return None
     numbers = _Fields(
-        text if len(text) == len(data) else None,
+        ascii_text,
         data,
         padded,
-        np.concatenate((starts[label_at], feature_starts, colons + 1)),
-        np.concatenate((ends[label_at], colons, feature_ends)),
-    )
-    labels = numbers.floats(0, rows)
-    cols = numbers.ints(rows, rows + colons.size)
-    values = numbers.floats(rows + colons.size, rows + 2 * colons.size)
-    if labels is None or cols is None or values is None:
+        np.concatenate((starts[label_at], colons + 1)),
+        np.concatenate((ends[label_at], feature_ends)),
+    ).floats()
+    if numbers is None:
         return None
+    labels, values = numbers[:rows], numbers[rows:]
     if normalize_labels:
         # "+1"/"1" -> +1; "-1"/"0" -> -1 (0/1-labeled files)
         if not np.all((labels == 1.0) | (labels == -1.0) | (labels == 0.0)):
@@ -201,24 +212,26 @@ def _parse_block(text: str, normalize_labels: bool) -> tuple[np.ndarray, ...] | 
         check_csr(rows, width, offsets, cols, values)
     except ValueError:
         return None
-    return labels, offsets, cols, values
+    return labels, offsets, cols, values, newlines.size
 
 
 class _Fields:
-    """Fields ``data[starts[i]:ends[i]]`` of a block, converted by array arithmetic.
+    """Fields ``data[starts[i]:ends[i]]`` of a block, of one kind, converted by array arithmetic.
 
-    A field that is an optional sign, then ASCII digits with at most one
-    dot among them, at least one digit and at most ``_WIDTH`` digits and
-    dot, is read from its bytes: a Horner pass over the byte columns of
-    all such fields at once makes the integer m of its digits (the dot
-    multiplies by 1 rather than by 10), and the field is ``m / 10**k`` for
-    k digits after the dot.  Both m < 10**15 < 2**53 and 10**k are exact
-    doubles, so their correctly rounded quotient is what ``float()``
-    returns (Clinger's fast path), and m is what ``int()`` returns for a
-    field without a dot.  Every other field (exponents,
+    A block's indices make one ``_Fields`` and its labels and values
+    another, so each kind is read in a window as wide as its own longest
+    field.  A field that is an optional sign, then ASCII digits with at
+    most one dot among them, at least one digit and at most ``_WIDTH``
+    digits and dot, is read from its bytes: a Horner pass over the byte
+    columns of all such fields at once makes the integer m of its digits
+    (the dot multiplies by 1 rather than by 10), and the field is
+    ``m / 10**k`` for k digits after the dot.  Both m < 10**15 < 2**53 and
+    10**k are exact doubles, so their correctly rounded quotient is what
+    ``float()`` returns (Clinger's fast path), and m is what ``int()``
+    returns for a field without a dot.  Every other field (exponents,
     ``nan``, ``inf``, ``1_0``, non-ASCII digits, longer fields, malformed
-    text) is gathered with the others of its kind and converted by one
-    ``np.array`` call, which reads each as ``float()`` or ``int()`` does.
+    text) is gathered with the others and converted by one ``np.array``
+    call, which reads each as ``float()`` or ``int()`` does.
     """
 
     def __init__(
@@ -242,7 +255,7 @@ class _Fields:
         # before the field (its sign, say) read as the digit 0
         longest = int(length.max(initial=1, where=length <= _WIDTH))
         width = 1 << (longest - 1).bit_length()
-        back = np.arange(width, 0, -1, dtype=np.uint8)[:, None]
+        self.back = back = np.arange(width, 0, -1, dtype=np.uint8)[:, None]
         n_words = -(-width // 8)
         # the 8 bytes from each offset of the block, gathered a word at a time
         eights = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
@@ -252,19 +265,15 @@ class _Fields:
         digits = window.view(np.uint8)[:, 8 * n_words - width :].T.copy()
         digits -= np.uint8(_ZERO)
         digits *= back <= np.minimum(length, _LEAD).astype(np.uint8)
-        dot = (digits == np.uint8((_DOT - _ZERO) % 256)).view(np.uint8)
+        self.is_dot = dot = (digits == np.uint8((_DOT - _ZERO) % 256)).view(np.uint8)
         other = digits > 9
-        dots = dot.sum(axis=0, dtype=np.uint8)
-        self.dotted = dots > 0
-        self.fraction = (dot * (back - np.uint8(1))).sum(axis=0, dtype=np.uint8)
+        self.dots = dots = dot.sum(axis=0, dtype=np.uint8)
         self.fast = (
             ~np.logical_or.reduce(other != dot, axis=0)
             & (dots <= 1)
             & (length > dots)
             & (length <= _WIDTH)
         )
-        self.fraction *= self.fast  # a field that is not fast takes the fallback
-        self.divisor = self.fraction + np.uint8(_LEAD) * self.negative
         digits *= ~other
         # Horner's rule on pairs of rows, then pairs of pairs: a group's
         # value is the left value times the right scale plus the right
@@ -275,25 +284,27 @@ class _Fields:
             scale = scale[0::2].astype(kind, copy=False) * scale[1::2]
         self.mantissa = value[0].astype(np.int64)
 
-    def floats(self, lo: int, hi: int) -> np.ndarray | None:
-        """Fields ``lo:hi`` as ``float()`` reads them; None if one does not convert."""
-        part = slice(lo, hi)
-        out = self.mantissa[part] / _DIVISORS.take(self.divisor[part])
-        return self._fill(out, self.fast[part], lo, np.float64)
+    def floats(self) -> np.ndarray | None:
+        """The fields as ``float()`` reads them; None if one does not convert."""
+        fraction = (self.is_dot * (self.back - np.uint8(1))).sum(axis=0, dtype=np.uint8)
+        # a field that is not fast takes the fallback, so its divisor (the
+        # clipped index) does not matter
+        divisor = fraction + np.uint8(_LEAD) * self.negative
+        out = self.mantissa / _DIVISORS.take(divisor, mode="clip")
+        return self._fill(out, self.fast, np.float64)
 
-    def ints(self, lo: int, hi: int) -> np.ndarray | None:
-        """Fields ``lo:hi`` as ``int()`` reads them, in int64; None if one does not convert."""
-        part = slice(lo, hi)
-        out = self.mantissa[part]  # each field is read once, so a view will do
-        np.negative(out, out=out, where=self.negative[part])
-        return self._fill(out, self.fast[part] & ~self.dotted[part], lo, np.int64)
+    def ints(self) -> np.ndarray | None:
+        """The fields as ``int()`` reads them, in int64; None if one does not convert."""
+        out = self.mantissa  # each field is read once, so it may change in place
+        np.negative(out, out=out, where=self.negative)
+        return self._fill(out, self.fast & (self.dots == 0), np.int64)
 
-    def _fill(self, out: np.ndarray, fast: np.ndarray, lo: int, dtype: type):
+    def _fill(self, out: np.ndarray, fast: np.ndarray, dtype: type) -> np.ndarray | None:
         """Convert the fields of ``out`` that are not ``fast``, all in one call."""
-        slow = np.flatnonzero(~fast)
-        if not slow.size:
+        if fast.all():
             return out
-        bounds = zip(self.starts[lo + slow].tolist(), self.ends[lo + slow].tolist())
+        slow = np.flatnonzero(~fast)
+        bounds = zip(self.starts[slow].tolist(), self.ends[slow].tolist())
         text, data = self.text, self.data
         if text is not None:
             tokens = [text[start:end] for start, end in bounds]
@@ -397,8 +408,8 @@ def parse_libsvm(
         parsed = _parse_block(block, normalize_labels)
         if parsed is None:
             raise _block_error(block, line_no, normalize_labels)
-        line_no += block.count("\n")
-        block_labels, offsets, cols, block_values = parsed
+        block_labels, offsets, cols, block_values, n_lines = parsed
+        line_no += n_lines
         labels.frombytes(block_labels.tobytes())
         values.frombytes(block_values.tobytes())
         row_offsets.frombytes((offsets[1:] + row_offsets[-1]).tobytes())

@@ -3,6 +3,7 @@
 import gzip
 import io
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -189,14 +190,20 @@ class TestParse:
 
 
 class TestBlockParse:
-    """The block parser against the token-by-token reference, on inputs of several blocks."""
+    """The block parser against the token-by-token reference, on inputs of several blocks.
 
+    The inputs are a few hundred KB, so the tests that need several blocks
+    parse in 64 KB blocks (``small_blocks``) and say how many they make.
+    """
+
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize(
         "seed, crlf, final_newline, raw_labels",
         [(58, False, True, False), (59, True, False, False), (60, True, True, True)],
     )
     def test_matches_scalar_reference(self, tmp_path, seed, crlf, final_newline, raw_labels):
         lines = random_libsvm_lines(np.random.default_rng(seed), raw_labels=raw_labels)
+        assert len(list(datasets._blocks(lines))) > 1
         ref = parse_libsvm_scalar(lines, normalize_labels=not raw_labels)
         assert ref[0].size > 500 and ref[3].size > 5_000
         for source in _sources(lines, tmp_path, crlf, final_newline):
@@ -233,8 +240,10 @@ class TestBlockParse:
             "-1 1:1 3:0.5 9:x 2:nan",
         ],
     )
+    @pytest.mark.usefixtures("small_blocks")
     def test_error_table(self, long_prefix, bad):
         lines = long_prefix + [bad]
+        assert len(list(datasets._blocks(lines))) > 1
         with pytest.raises(DatasetFormatError) as expected:
             parse_libsvm_scalar(lines)
         assert str(expected.value).startswith(f"line {len(lines)}: ")
@@ -242,22 +251,37 @@ class TestBlockParse:
             parse_libsvm(io.StringIO("\n".join(lines)))
         assert str(raised.value) == str(expected.value)
 
-    def test_first_bad_line_reported(self, long_prefix):
+    @pytest.mark.usefixtures("small_blocks")
+    def test_first_bad_line_reported(self, tmp_path, long_prefix):
         lines = long_prefix[:50] + ["+1 2:1 1:1", "+1 1:1", "yes 1:1"] + long_prefix
         with pytest.raises(DatasetFormatError, match="^line 51: feature indices not strictly"):
             parse_libsvm(lines)
+        # after several blocks that hold blank and whitespace-only lines, each
+        # ending in "\r\n", the line number counts every line before it
+        assert "" in long_prefix and " " in long_prefix
+        assert len(list(datasets._blocks(long_prefix))) > 1
+        lines = long_prefix + ["", "\t", "+1 3:1 3:2"] + long_prefix[:100]
+        with pytest.raises(DatasetFormatError) as expected:
+            parse_libsvm_scalar(lines)
+        assert str(expected.value).startswith(f"line {len(long_prefix) + 3}: feature indices")
+        sources = _sources(lines, tmp_path, crlf=True, final_newline=True)
+        for source in chain(sources, [[line + "\r\n" for line in lines]]):
+            with pytest.raises(DatasetFormatError) as raised:
+                parse_libsvm(source)
+            assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "big_index, dtype", [(2**31 + 1, np.int64), (2**31 - 1, np.int32)], ids=["widened", "fits"]
     )
     def test_index_dtype_across_blocks(self, big_index, dtype):
         # the first index beyond int32 (0-based) appears after the first block
-        lines = ["+1 1:0.5 7:1.25"] * 8_000 + [f"-1 3:1 {big_index}:2.5", "+1 2:-1"]
+        lines = ["+1 1:0.5 7:1.25"] * 20_000 + [f"-1 3:1 {big_index}:2.5", "+1 2:-1"]
         assert len(list(datasets._blocks(lines))) > 1
         ds = parse_libsvm(lines)
         assert ds.matrix.col_indices.dtype == dtype
         assert_same_parse(ds, parse_libsvm_scalar(lines))
 
+    @pytest.mark.usefixtures("small_blocks")
     def test_one_csr_check_per_block(self, monkeypatch, long_prefix):
         n_blocks = len(list(datasets._blocks(long_prefix)))
         assert n_blocks > 1

@@ -81,6 +81,45 @@ BOUNDARY_TOKENS = [
 ROLES = {"value": "+1 1:{}", "index": "+1 {}:1", "label": "{} 1:1"}
 
 
+def window_block(seed, indices, value_text):
+    """A block of 200 lines, with indices from ``indices`` and values from ``value_text``."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(200):
+        features = " ".join(f"{c}:{value_text(rng)}" for c in indices(rng).tolist())
+        lines.append(f"{int(rng.choice([-1, 1])):d} {features}")
+    return lines
+
+
+def one_digit_indices(rng):
+    return np.sort(rng.choice(9, size=int(rng.integers(1, 9)), replace=False)) + 1
+
+
+def long_indices(rng):
+    """Indices of 12 to 15 digits."""
+    return np.unique(10 ** rng.uniform(11, 15, size=int(rng.integers(1, 9)))).astype(np.int64)
+
+
+# Blocks whose indices need a window of another width than their labels and
+# values, with whether their values take the float() fallback
+WINDOW_BLOCKS = {
+    "one-digit indices, 15-character values": (
+        window_block(
+            72, one_digit_indices, lambda rng: f"{rng.choice([-1, 1]) * rng.uniform(1e6, 1e7):.7f}"
+        ),
+        False,
+    ),
+    "12-15-digit indices, one-character values": (
+        window_block(73, long_indices, lambda rng: str(int(rng.integers(10)))),
+        False,
+    ),
+    "exponent values, fast indices": (
+        window_block(74, one_digit_indices, lambda rng: f"{rng.normal():.3e}"),
+        True,
+    ),
+}
+
+
 def as_lists(labels, offsets, cols, values, n_cols):
     """Parsed arrays as bitwise-comparable lists."""
     return (
@@ -149,6 +188,18 @@ class TestBoundaryTokens:
         assert "1234567.1234567" not in slow and "-00012" not in slow
         assert {"1234567.12345678", "9007199254740993", "1e5", "1_0"} <= slow
 
+    @pytest.mark.parametrize("block", list(WINDOW_BLOCKS))
+    def test_windows_per_kind_match_scalar_reference(self, block, fallback_calls):
+        lines, values_fall_back = WINDOW_BLOCKS[block]
+        assert len(list(datasets._blocks(lines))) == 1
+        for normalize_labels in (True, False):
+            expected = outcome(parse_libsvm_scalar, lines, normalize_labels)
+            assert outcome(parse_libsvm, lines, normalize_labels) == expected
+        # only the values that are not of the plain decimal form fall back
+        slow = [token for call in fallback_calls for token in call]
+        assert len(slow) == (2 * len(expected[3]) if values_fall_back else 0)
+        assert all("e" in token for token in slow)
+
 
 def _is_finite(token):
     try:
@@ -157,6 +208,7 @@ def _is_finite(token):
         return False
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestFastPath:
     def test_bench_style_file_converts_without_fallback(self, tmp_path, fallback_calls):
         rng = np.random.default_rng(70)
