@@ -18,9 +18,16 @@ are wrapped unchecked; all of them follow the layout rule below.
 A matrix of at most ``DENSE_MAX_ENTRIES`` entries (rows times columns)
 keeps its checked CSR arrays and multiplies and slices a dense copy that it
 builds from them on its first product or slice, since scipy's per-call
-dispatch costs more than the arithmetic at that size.  It builds a scipy
-matrix only when its CSR arrays are read through the public properties or
-``to_dense``, so setting up and solving a small problem never calls scipy.
+dispatch costs more than the arithmetic at that size.  Only the last
+``DENSE_COPIES_KEPT`` small matrices to build a copy keep it: an older one
+drops its copy and builds it again, the same bytes, on its next product or
+slice.  So a caller that solves many small problems in turn holds a few
+copies, not one per problem, and pays one build per solve: one scatter
+into zeros, cheaper than one solver iteration at that size.  The list of
+holders keeps weak references, so it keeps no matrix alive.  A small matrix
+builds a scipy matrix only when its CSR arrays are read through the public
+properties or ``to_dense``, so setting up and solving a small problem never
+calls scipy.
 Its products are BLAS matrix-vector products (gemv), never matrix-matrix
 ones; they give the same bytes on one and two BLAS threads, which
 ``tests/test_reductions.py`` checks.
@@ -63,6 +70,9 @@ at most 64, since columns cubed is at most rows times columns squared.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import deque
 from functools import cached_property, partial
 from typing import Callable
 
@@ -82,6 +92,15 @@ __all__ = [
 # Matrices with at most this many entries (rows times columns) are held
 # dense for products and slices.
 DENSE_MAX_ENTRIES = 2**15
+
+# How many of those matrices keep their dense copy: the last ones to build
+# it.  More than one, so that a caller alternating a few small problems, or
+# a few threads each solving its own, does not rebuild on every product.
+DENSE_COPIES_KEPT = 4
+
+# weak references to the matrices that built a dense copy last, oldest first
+_copy_holders: deque = deque()
+_copy_holders_lock = threading.Lock()
 
 # gram_inverse forms a Gram matrix only while rows * cols**2 is at most this.
 GRAM_MAX_WORK = 2**18
@@ -162,10 +181,40 @@ def _csr_of_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _dense_of_csr(shape, offsets, cols, values) -> np.ndarray:
     """The dense array of checked CSR arrays, bitwise scipy's ``toarray()``."""
-    dense = np.zeros(shape)
-    # adding to zeros, as toarray does, stores a -0.0 entry as 0.0
-    dense[np.repeat(np.arange(shape[0]), np.diff(offsets)), cols] += values
-    return dense
+    n_rows, n_cols = shape
+    dense = np.zeros(n_rows * n_cols)
+    if dense.size:
+        flat = np.repeat(np.arange(0, dense.size, n_cols), offsets[1:] - offsets[:-1])
+        flat += cols
+        dense[flat] = values
+        # toarray adds each entry to a zero, which stores a -0.0 entry as 0.0
+        dense += 0.0
+    return dense.reshape(shape)
+
+
+class _DenseCopy:
+    """A small matrix's ``_dense``: built when read and missing, and kept
+    in the matrix while it is among the last ``DENSE_COPIES_KEPT`` holders.
+
+    Matrices that hold ``_dense`` for good (dense slices, and sparse-held
+    ones with None) set it in their own ``__dict__``, which takes precedence
+    over this descriptor, so only a small matrix without its copy gets here.
+    """
+
+    def __get__(self, matrix, owner=None):
+        if matrix is None:
+            return self
+        dense = _dense_of_csr(matrix._shape, *matrix._arrays)
+        # the copy is stored and registered together, so every held copy
+        # has its place among the holders
+        with _copy_holders_lock:
+            vars(matrix)["_dense"] = dense
+            _copy_holders.append(weakref.ref(matrix))
+            while len(_copy_holders) > DENSE_COPIES_KEPT:
+                stale = _copy_holders.popleft()()
+                if stale is not None:
+                    vars(stale).pop("_dense", None)
+        return dense
 
 
 class SparseMatrix:
@@ -186,9 +235,12 @@ class SparseMatrix:
     from them on its first product or slice (bitwise their ``toarray()``,
     so a stored ``-0.0`` reads ``0.0``), and its scipy form only when those
     three properties or ``to_dense`` are read; ``nnz`` counts its arrays.
-    ``spmv`` is ``dense @ x``, ``spmv_transpose`` is ``y @ dense``, and
-    ``column_submatrix`` returns a matrix whose dense copy is those columns
-    of it.  Such a slice finds its CSR arrays in that dense copy when they
+    The last ``DENSE_COPIES_KEPT`` such matrices to build a copy keep it;
+    an older one has dropped it, and builds it again on its next product or
+    slice.  ``spmv`` is ``dense @ x``, ``spmv_transpose`` is ``y @ dense``,
+    and ``column_submatrix`` returns a matrix whose dense copy is those
+    columns of it, which it keeps for its lifetime.  Such a slice counts
+    its ``nnz`` in that dense copy and finds its CSR arrays there when they
     are needed, so it stores no zeros.
 
     A larger matrix is held sparse: the constructor builds its scipy form
@@ -254,16 +306,15 @@ class SparseMatrix:
 
     # Each matrix is made with one of _arrays (a small matrix), _dense (a
     # dense slice) or _matrix (a sparse-held matrix, which sets the other
-    # two to None); the properties below derive the rest on first read.
+    # two to None); the properties below derive the rest on first read, and
+    # a small matrix's _dense again after the bound has dropped it.
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # a dense slice finds its CSR arrays in its dense copy
         return _csr_of_dense(self._dense)
 
-    @cached_property
-    def _dense(self) -> np.ndarray:
-        return _dense_of_csr(self._shape, *self._arrays)
+    _dense = _DenseCopy()
 
     @cached_property
     def _matrix(self):
@@ -288,8 +339,12 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        arrays = self._arrays
-        return self._matrix.nnz if arrays is None else arrays[1].size
+        # a dense slice counts its dense copy rather than build CSR arrays
+        arrays = vars(self).get("_arrays")
+        if arrays is not None:
+            return arrays[1].size
+        dense = self._dense
+        return self._matrix.nnz if dense is None else int(np.count_nonzero(dense))
 
     @property
     def row_offsets(self) -> np.ndarray:

@@ -159,17 +159,20 @@ def _accept(
 
 
 def _armijo(
-    f_total: Objective, f_x: float, x: np.ndarray, d: np.ndarray, slope: float, j: int
+    f_total: Objective, f_x: float, x: np.ndarray, d: np.ndarray, slope: float, j: int,
+    y: np.ndarray | None = None,
 ) -> SearchResult:
-    """Armijo backtracking along d from x + XI^j d."""
+    """Armijo backtracking along d from x + XI^j d, or from ``y`` if the caller has it."""
     while True:
         step = XI**j
-        y = x + step * d
+        if y is None:
+            y = x + step * d
         change = ETA * step * slope
         result = _accept(f_total, f_x, x, y, change, step, j, added=False)
         if result is not None:
             return result
         j += 1
+        y = None
 
 
 def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: float) -> SearchResult:
@@ -185,9 +188,13 @@ def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: floa
     """
     f_x = f_total(x)
     sign_x = np.sign(x)
+    full = x + d
+    if (np.sign(full) == sign_x).all():
+        # the full step keeps every sign, so its projection is x + d itself
+        return _armijo(f_total, f_x, x, d, slope, 0, full)
 
     j = 0
-    y = project_orthant(x + d, x)
+    y = project_orthant(full, x)
     while not (np.sign(y) == sign_x).all():
         result = _accept(f_total, f_x, x, y, 0.0, XI**j, j, added=True)
         if result is not None:
@@ -202,7 +209,8 @@ def linesearch_phi(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: floa
         result = _accept(f_total, f_x, x, y_b, ETA * alpha_b * slope, alpha_b, j, added=True)
         if result is not None:
             return result
-    # at j = 0 the projected point kept every sign, so it equals x + d
+    # at j = 0, x + d left a sign only at a zero of x (the projection kept
+    # it zero); the Armijo loop tries x + d itself
     return _armijo(f_total, f_x, x, d, slope, j)
 
 
@@ -213,4 +221,4 @@ def linesearch_beta(f_total: Objective, x: np.ndarray, d: np.ndarray, slope: flo
     F(x + XI^j d) <= F(x) + ETA * XI^j * slope + noise.  Raises
     LineSearchError as ``_accept`` does.
     """
-    return _armijo(f_total, f_total(x), x, d, slope, 0)
+    return _armijo(f_total, f_total(x), x, d, slope, 0, x + d)

@@ -253,7 +253,11 @@ class LogisticObjective(ObjectiveOracle):
         self._slice = (indices, sub)
 
         def apply(v: np.ndarray) -> np.ndarray:
-            return spmv_transpose(sub, weights * spmv(sub, v)) + HESSIAN_SHIFT * v
+            product = spmv(sub, v)
+            product *= weights
+            product = spmv_transpose(sub, product)
+            product += HESSIAN_SHIFT * v
+            return product
 
         inverse = gram_inverse(sub, weights, HESSIAN_SHIFT)
         if inverse is not None:

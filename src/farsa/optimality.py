@@ -2,10 +2,12 @@
 
 The two measures split stationarity violation between the zero variables
 (``beta``) and the nonzero variables (``phi``): at a minimizer of
-f(x) + lam*||x||_1 both vanish.  Both come from one kernel: with s the
+f(x) + lam*||x||_1 both vanish.  Both are halves of one vector: with s the
 full-step shrink (ISTA) displacement, ``beta = -s`` where ``x == 0`` and
 ``phi = -s`` elsewhere, so their supports are disjoint and
-``s = -(beta + phi)`` componentwise.  The test suite checks all three
+``s = -(beta + phi)`` componentwise.  ``optimality_measures`` forms -s
+itself, in fewer passes than negating ``ista_step``; the two agree bitwise
+apart from the sign of a zero entry.  The test suite checks all three
 against independent case-table transcriptions.
 
 Zero detection is exact (``x[i] == 0``), never tolerance-based: every update
@@ -75,13 +77,18 @@ def optimality_measures(x: np.ndarray, grad: np.ndarray, lam: float) -> Optimali
 
     Both are the negated shrink step on their half of the split.
     """
-    measure = -ista_step(x, grad, lam)
+    # -ista_step with u = x - g: g + lam where u > lam, g - lam where
+    # u < -lam, and x elsewhere
+    u = x - grad
+    measure = np.where(u > lam, grad + lam, x)
+    np.subtract(grad, lam, out=measure, where=u < -lam)
+    del u  # not held beside beta, which would add an n-vector to the peak
     beta = np.where(x == 0.0, measure, 0.0)
-    phi = measure - beta  # exact: measure - measure is 0.0 on the zeros
+    measure -= beta  # phi, exactly: measure - measure is 0.0 on the zeros
     return OptimalityPair(
         beta=beta,
-        phi=phi,
+        phi=measure,
         beta_norm=math.sqrt(dot(beta, beta)),
-        phi_norm=math.sqrt(dot(phi, phi)),
+        phi_norm=math.sqrt(dot(measure, measure)),
     )
 

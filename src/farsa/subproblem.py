@@ -93,7 +93,7 @@ def cg_solve(
     violation_threshold = max(1e3, 1e-1 * g.size)
 
     x_signs = np.sign(x_restricted)
-    p = r
+    p = r.copy()  # d and r are updated in place; each p is a new array
     for j in range(1, g.size + 1):
         hp = hvp(p)
         if hp.shape != p.shape:
@@ -106,8 +106,8 @@ def cg_solve(
                 f"oracle not positive definite at CG iteration {j}: p^T H p = {curvature}"
             )
         alpha = rr_old / curvature
-        d = d + alpha * p
-        r = r - alpha * hp
+        d += alpha * p
+        r -= alpha * hp
         rr_new = dot(r, r)
         r_norm = math.sqrt(rr_new)
         if not math.isfinite(r_norm):

@@ -1,6 +1,10 @@
 """Sparse kernels against hand values and a dense triple-loop oracle."""
 
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +12,14 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from farsa import LogisticObjective, SolverConfig, SparseMatrix, linalg, solve
-from farsa.linalg import DENSE_MAX_ENTRIES, check_csr, spmv, spmv_transpose
+from farsa.linalg import (
+    DENSE_COPIES_KEPT,
+    DENSE_MAX_ENTRIES,
+    check_csr,
+    gram_inverse,
+    spmv,
+    spmv_transpose,
+)
 from reference import dense_matvec, dense_matvec_transpose, random_sparse_dense
 
 
@@ -276,6 +287,116 @@ def test_small_matrix_builds_no_scipy_form(monkeypatch):
     assert dense.flags.c_contiguous and dense.tobytes() == csr.toarray().tobytes()
     rows = np.repeat(np.arange(m), np.diff(csr.indptr))
     assert not np.signbit(dense[rows[zeros], csr.indices[zeros]]).any()
+
+    # once newer matrices have built their copies, a's is dropped; it is
+    # rebuilt, without scipy, to the same bytes and the same results
+    x, y, weights = rng.normal(size=n), rng.normal(size=m), rng.random(m)
+    idx = np.flatnonzero(rng.random(n) < 0.5)
+
+    def results(matrix):
+        sub = matrix.column_submatrix(idx)
+        return [
+            spmv(matrix, x), spmv_transpose(matrix, y), sub._dense,
+            spmv(sub, x[idx]), spmv_transpose(sub, y),
+            gram_inverse(matrix, weights, 1e-8)(x), gram_inverse(sub, weights, 1e-8)(x[idx]),
+        ]  # fmt: skip
+
+    held = results(a)
+    for _ in range(DENSE_COPIES_KEPT):
+        spmv(SparseMatrix.from_dense(np.eye(3)), np.ones(3))
+    assert "_dense" not in vars(a)
+    monkeypatch.setattr(linalg, "sp", None)
+    rebuilt = results(a)
+    assert vars(a)["_dense"].tobytes() == dense.tobytes()
+    monkeypatch.undo()
+    assert [r.tobytes() for r in rebuilt] == [r.tobytes() for r in held]
+    assert "_matrix" not in vars(a)
+
+
+def test_only_the_newest_small_matrices_keep_their_dense_copy():
+    rng = np.random.default_rng(26)
+    matrices = [
+        SparseMatrix.from_dense(random_sparse_dense(rng, 9, 7)) for _ in range(DENSE_COPIES_KEPT + 2)
+    ]
+    products = [spmv(a, np.ones(7)) for a in matrices]
+    assert ["_dense" in vars(a) for a in matrices] == [False] * 2 + [True] * DENSE_COPIES_KEPT
+    # products and slices reuse the held copy; a slice keeps its own
+    newest = matrices[-1]
+    held = vars(newest)["_dense"]
+    sub = newest.column_submatrix(np.arange(3))
+    spmv_transpose(newest, np.ones(9))
+    assert vars(newest)["_dense"] is held
+    # the holders are weak references: a holder its caller drops is freed
+    alive = weakref.ref(newest)
+    del matrices[-1], newest, held
+    gc.collect()
+    assert alive() is None
+    # the two oldest rebuild their copies, and the two oldest holders drop theirs
+    assert [spmv(a, np.ones(7)).tobytes() for a in matrices[:2]] == [
+        product.tobytes() for product in products[:2]
+    ]
+    assert ["_dense" in vars(a) for a in matrices[:4]] == [True, True, False, False]
+    assert sub._dense.shape == (9, 3) and "_dense" in vars(sub)
+
+
+def test_threads_sharing_the_bound_get_the_same_products():
+    # more threads than cores, each cycling through more matrices than the
+    # bound keeps, with frequent thread switches: every product stays
+    # bitwise the single-threaded one, and at most the bound's number of
+    # matrices hold a copy at the end
+    rng = np.random.default_rng(29)
+    dense = [random_sparse_dense(rng, 11, 6) for _ in range(3 * DENSE_COPIES_KEPT)]
+    x = rng.normal(size=6)
+    want = [(d @ x).tobytes() for d in dense]
+    groups = [[SparseMatrix.from_dense(d) for d in dense] for _ in range(3)]
+    wrong = []
+
+    def work(matrices):
+        for _ in range(50):
+            for a, expected in zip(matrices, want):
+                if spmv(a, x).tobytes() != expected:
+                    wrong.append(expected)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(group,)) for group in groups]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    holding = sum("_dense" in vars(a) for group in groups for a in group)
+    assert 1 <= holding <= DENSE_COPIES_KEPT
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (6, 0), (0, 4), (0, 0), (1, 1)])
+def test_dense_of_csr_is_scipy_toarray(shape):
+    # stored zeros of either sign read 0.0, as in toarray; empty rows and
+    # zero-size shapes included
+    rng = np.random.default_rng(27)
+    dense = random_sparse_dense(rng, *shape, density=0.5)
+    if shape[0] > 1:
+        dense[1] = 0.0
+    csr = sp.csr_matrix(dense)
+    csr.data[::2] = 0.0
+    csr.data[::4] = -0.0
+    got = linalg._dense_of_csr(shape, csr.indptr, csr.indices, csr.data)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert got.tobytes() == csr.toarray().tobytes()
+
+
+def test_dense_slice_counts_nnz_without_csr_arrays():
+    rng = np.random.default_rng(28)
+    csr = _small_with_stored_zeros(rng, 30, 12)
+    a = SparseMatrix(30, 12, csr.indptr, csr.indices, csr.data)
+    sub = a.column_submatrix(np.arange(0, 12, 2))
+    count = sub.nnz
+    assert "_arrays" not in vars(sub)
+    assert count == sub._arrays[1].size == sp.csr_matrix(csr.toarray()[:, ::2]).nnz
 
 
 def test_small_matrix_reads_back_scipy_arrays():
